@@ -112,6 +112,30 @@ grep -q '"all_channels_fresh"' "$fastpath_artifact" || {
     exit 1
 }
 
+echo "==> perfbench capture smoke (Fig. 2 + Fig. 4, pinned digests)"
+# One short run of the repository benchmark's capture workload. Any
+# failed shape check fails it, and the digest line pins both figures
+# bit for bit at seed 401, so a drift in a noise stream, seed or draw
+# order fails CI.
+capture_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload capture --seed 401 --seconds 5 --trace 0)" || {
+    echo "ci.sh: perfbench capture exited non-zero" >&2
+    exit 1
+}
+capture_result="$(echo "$capture_out" | tail -n 1)"
+if echo "$capture_result" | grep -q '"correct": false' ||
+    ! echo "$capture_result" | grep -q '"failed": 0,'; then
+    echo "ci.sh: perfbench capture reported failures:" >&2
+    echo "$capture_out" >&2
+    exit 1
+fi
+echo "$capture_out" | grep -qx 'digest fig2 8c10b055212dc7c9  fig4 009b06823d7a4019' || {
+    echo "ci.sh: perfbench capture digests drifted from the pinned seed-401 figures:" >&2
+    echo "$capture_out" | grep '^digest' >&2
+    exit 1
+}
+echo "    $(echo "$capture_out" | grep '^digest')"
+
 echo "==> serve throughput smoke (bench --quick)"
 serve_artifact="crates/bench/BENCH_serve_throughput.quick.json"
 rm -f "$serve_artifact"

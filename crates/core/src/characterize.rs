@@ -243,7 +243,8 @@ impl CharacterizationReport {
 }
 
 /// Runs the characterization sweep on a platform with a deployed virus
-/// array (and optionally a deployed RO bank for the baseline columns).
+/// array (and optionally a deployed RO bank for the baseline columns),
+/// overlapping each level's captures on the process-wide pool.
 ///
 /// # Errors
 ///
@@ -251,6 +252,25 @@ impl CharacterizationReport {
 /// * [`AttackError::Hwmon`] / [`AttackError::Stats`] on capture or
 ///   analysis failures.
 pub fn run(platform: &Platform, config: &CharacterizeConfig) -> Result<CharacterizationReport> {
+    run_with(platform, config, Pool::global())
+}
+
+/// [`run`] with the sweep spread over `pool` as a one-level software
+/// pipeline: while level `i` is active, its hwmon capture and its rail
+/// voltage pass run beside the fabric-baseline draws of level `i - 1`,
+/// which read only voltages captured while that level was active. The
+/// levels still run in order on one platform, and each job draws from its
+/// own noise streams in their serial order, so the report is bit-identical
+/// at any pool width.
+///
+/// # Errors
+///
+/// Same failure modes as [`run`].
+pub fn run_with(
+    platform: &Platform,
+    config: &CharacterizeConfig,
+    pool: &Pool,
+) -> Result<CharacterizationReport> {
     let _trace = obs::trace::span("core.characterize", "sweep");
     let virus = platform
         .virus()
@@ -262,15 +282,26 @@ pub fn run(platform: &Platform, config: &CharacterizeConfig) -> Result<Character
 
     let mut cursor = SimTime::from_ms(40);
     let mut rows = Vec::with_capacity(config.levels.len());
-
+    let mut captured = None;
     for &level in &config.levels {
         virus
             .activate_groups(level)
             .map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
         cursor += config.settle;
-        rows.push(measure_row(platform, &sampler, config, level, cursor)?);
+        let (row, next) = sweep_step(
+            platform,
+            &sampler,
+            config,
+            captured.take(),
+            Some((level, cursor)),
+            pool,
+        )?;
+        rows.extend(row);
+        captured = next;
         cursor += level_span;
     }
+    let (row, _) = sweep_step(platform, &sampler, config, captured, None, pool)?;
+    rows.extend(row);
 
     analyze(rows)
 }
@@ -327,7 +358,12 @@ pub fn run_parallel_checkpointed(
                 .map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
             let sampler = CurrentSampler::unprivileged(&platform);
             let cursor = SimTime::from_ms(40) + config.settle;
-            let row = measure_row(&platform, &sampler, config, level, cursor)?;
+            let captured = CapturedLevel {
+                level,
+                channels: hwmon_summaries(&sampler, config, cursor)?,
+                rail_volts: baseline_rail_volts(&platform, config, cursor),
+            };
+            let row = baseline_row(&platform, &captured)?;
             ckpt.put(i as u64, &row.to_value().to_json());
             Ok(row)
         })
@@ -336,49 +372,130 @@ pub fn run_parallel_checkpointed(
     analyze(rows)
 }
 
-/// Captures all channels (plus any deployed fabric baselines) for one
-/// activity level at time `cursor`.
-fn measure_row(
+/// What a level leaves once its loads are no longer needed: the hwmon
+/// channel summaries, and the FPGA rail voltage at each fabric-baseline
+/// sample instant (empty when no baseline is deployed).
+struct CapturedLevel {
+    level: u32,
+    channels: [Summary; 3],
+    rail_volts: Vec<f64>,
+}
+
+/// A finished job of one [`sweep_step`].
+enum StepPart {
+    Row(LevelRow),
+    Hwmon([Summary; 3]),
+    RailVolts(Vec<f64>),
+}
+
+/// One stage of the sweep pipeline, as up to three jobs on `pool`: the
+/// fabric-baseline draws that finish `done`'s row, and the hwmon capture
+/// and rail-voltage pass of the level `next` names (active now, measured
+/// from its cursor). The jobs share no noise stream.
+fn sweep_step(
     platform: &Platform,
     sampler: &CurrentSampler<'_>,
     config: &CharacterizeConfig,
-    level: u32,
+    done: Option<CapturedLevel>,
+    next: Option<(u32, SimTime)>,
+    pool: &Pool,
+) -> Result<(Option<LevelRow>, Option<CapturedLevel>)> {
+    type Job<'a> = Box<dyn Fn() -> Result<StepPart> + Sync + 'a>;
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(3);
+    if let Some(done) = &done {
+        jobs.push(Box::new(move || {
+            baseline_row(platform, done).map(StepPart::Row)
+        }));
+    }
+    if let Some((_, cursor)) = next {
+        jobs.push(Box::new(move || {
+            hwmon_summaries(sampler, config, cursor).map(StepPart::Hwmon)
+        }));
+        jobs.push(Box::new(move || {
+            Ok(StepPart::RailVolts(baseline_rail_volts(
+                platform, config, cursor,
+            )))
+        }));
+    }
+    let (mut row, mut channels, mut rail_volts) = (None, None, Vec::new());
+    for part in pool.par_map(&jobs, |_, job| job()) {
+        match part? {
+            StepPart::Row(r) => row = Some(r),
+            StepPart::Hwmon(h) => channels = Some(h),
+            StepPart::RailVolts(v) => rail_volts = v,
+        }
+    }
+    let captured = next
+        .zip(channels)
+        .map(|((level, _), channels)| CapturedLevel {
+            level,
+            channels,
+            rail_volts,
+        });
+    Ok((row, captured))
+}
+
+/// Current, voltage and power summaries of one level's hwmon capture.
+fn hwmon_summaries(
+    sampler: &CurrentSampler<'_>,
+    config: &CharacterizeConfig,
     cursor: SimTime,
-) -> Result<LevelRow> {
-    let period = SimTime::from_secs_f64(1.0 / config.sample_rate_hz);
+) -> Result<[Summary; 3]> {
     let [current, voltage, power] = sampler.capture_all_channels(
         PowerDomain::FpgaLogic,
         cursor,
         config.sample_rate_hz,
         config.samples_per_level,
     )?;
-    let ro_count = if platform.sample_ro(cursor).is_ok() {
-        let counts: Vec<f64> = (0..config.samples_per_level)
-            .map(|k| {
-                let t = cursor + SimTime::from_nanos(period.as_nanos() * k as u64);
-                platform.sample_ro(t)
-            })
-            .collect::<Result<_>>()?;
-        Some(Summary::from_samples(&counts)?)
+    Ok([
+        Summary::from_samples(&current.samples)?,
+        Summary::from_samples(&voltage.samples)?,
+        Summary::from_samples(&power.samples)?,
+    ])
+}
+
+/// The rail voltages a level's fabric-baseline samples see, or none when
+/// no baseline is deployed.
+fn baseline_rail_volts(
+    platform: &Platform,
+    config: &CharacterizeConfig,
+    cursor: SimTime,
+) -> Vec<f64> {
+    if !platform.has_fabric_baseline() {
+        return Vec::new();
+    }
+    let period = SimTime::from_secs_f64(1.0 / config.sample_rate_hz);
+    platform.fpga_rail_volts(cursor, period, config.samples_per_level)
+}
+
+/// Draws a captured level's fabric baselines and completes its row.
+fn baseline_row(platform: &Platform, level: &CapturedLevel) -> Result<LevelRow> {
+    // Each probe draws at the level's first instant, as
+    // `sample_ro(cursor)` would: the draw is part of the noise stream.
+    let probe = level.rail_volts.get(..1).unwrap_or_default();
+    let ro_count = if platform.sample_ro_at(probe).is_ok() {
+        Some(Summary::from_samples(
+            &platform.sample_ro_at(&level.rail_volts)?,
+        )?)
     } else {
         None
     };
-    let tdc_code = if platform.sample_tdc(cursor).is_ok() {
-        let codes: Vec<f64> = (0..config.samples_per_level)
-            .map(|k| {
-                let t = cursor + SimTime::from_nanos(period.as_nanos() * k as u64);
-                platform.sample_tdc(t).map(|c| c as f64)
-            })
-            .collect::<Result<_>>()?;
+    let tdc_code = if platform.sample_tdc_at(probe).is_ok() {
+        let codes: Vec<f64> = platform
+            .sample_tdc_at(&level.rail_volts)?
+            .into_iter()
+            .map(f64::from)
+            .collect();
         Some(Summary::from_samples(&codes)?)
     } else {
         None
     };
+    let [current_ma, voltage_mv, power_uw] = level.channels;
     Ok(LevelRow {
-        active_groups: level,
-        current_ma: Summary::from_samples(&current.samples)?,
-        voltage_mv: Summary::from_samples(&voltage.samples)?,
-        power_uw: Summary::from_samples(&power.samples)?,
+        active_groups: level.level,
+        current_ma,
+        voltage_mv,
+        power_uw,
         ro_count,
         tdc_code,
     })
@@ -448,13 +565,14 @@ fn analyze(rows: Vec<LevelRow>) -> Result<CharacterizationReport> {
 /// Same failure modes as [`run`]; `samples_per_level` must be non-zero.
 pub fn quicklook(platform: &Platform, samples_per_level: usize) -> Result<CharacterizationReport> {
     let _trace = obs::trace::span("core.characterize", "quicklook");
-    run(
+    run_with(
         platform,
         &CharacterizeConfig {
             levels: vec![0, 20, 40, 80, 120, 160],
             samples_per_level,
             ..CharacterizeConfig::quick()
         },
+        &Pool::serial(),
     )
 }
 

@@ -295,8 +295,10 @@ pub fn bsc_capacity(ber: f64) -> f64 {
 
 /// Runs one attack, hardened or not, and reduces it to a [`DefendPoint`].
 /// `strength: None` is the undefended baseline (structurally identical to
-/// calling the plain attack entry points).
-fn attack_point(config: &DefendConfig, strength: Option<f64>) -> Result<DefendPoint> {
+/// calling the plain attack entry points). The RSA attack spreads its keys
+/// across `pool`; sweep points already inside a `par_map` pass
+/// [`Pool::serial`].
+fn attack_point(config: &DefendConfig, strength: Option<f64>, pool: &Pool) -> Result<DefendPoint> {
     let started_ns = obs::clock::monotonic_ns();
     let defense_seed = derive_seed(config.seed, DEFENSE_STREAM);
     let harden = move |platform: &mut Platform| -> Result<()> {
@@ -316,7 +318,7 @@ fn attack_point(config: &DefendConfig, strength: Option<f64>) -> Result<DefendPo
         AttackKind::Rsa => {
             let mut cfg = config.rsa.clone();
             cfg.seed = config.seed;
-            rsa_attack::run_hardened(&cfg, &harden).map(|report| {
+            rsa_attack::run_hardened(&cfg, pool, &harden).map(|report| {
                 report.current_separability.distinguishable as f64
                     / report.observations.len() as f64
             })
@@ -410,12 +412,13 @@ pub fn run_checkpointed(
         "points" => config.strengths.len() as u64,
         "resumable" => ckpt.len() as u64
     );
-    let baseline = checkpointed_point(ckpt, 0, || attack_point(config, None))?;
+    let baseline = checkpointed_point(ckpt, 0, || attack_point(config, None, pool))?;
     let indices: Vec<usize> = (0..config.strengths.len()).collect();
     let points: Vec<DefendPoint> = pool
         .par_map(&indices, |_, &i| {
             checkpointed_point(ckpt, i as u64 + 1, || {
-                attack_point(config, config.strengths.get(i).copied())
+                // Serial inner pool: the sweep point is the parallel axis.
+                attack_point(config, config.strengths.get(i).copied(), &Pool::serial())
             })
         })
         .into_iter()

@@ -472,6 +472,62 @@ impl Platform {
         Ok(bank.lock().sample_mean_count(v))
     }
 
+    /// The FPGA rail voltage at `start + k * period` for `k in 0..n` — the
+    /// voltage [`sample_ro`](Self::sample_ro) and
+    /// [`sample_tdc`](Self::sample_tdc) would see at those instants under
+    /// the loads active now — from one batched operating-point pass.
+    pub fn fpga_rail_volts(&self, start: SimTime, period: SimTime, n: usize) -> Vec<f64> {
+        let times: Vec<SimTime> = (0..n as u64)
+            .map(|k| start + SimTime::from_nanos(period.as_nanos() * k))
+            .collect();
+        self.soc
+            .operating_points(&times, PowerDomain::FpgaLogic)
+            .into_iter()
+            .map(|(_, volts)| volts)
+            .collect()
+    }
+
+    /// RO bank mean counts at the given rail voltages, in order, under one
+    /// bank lock. With voltages from [`fpga_rail_volts`](Self::fpga_rail_volts)
+    /// this is bit-identical to one [`sample_ro`](Self::sample_ro) call per
+    /// instant, and leaves the bank in the same state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttackError::NotDeployed`] if no RO bank is deployed.
+    pub fn sample_ro_at(&self, rail_volts: &[f64]) -> Result<Vec<f64>> {
+        let mut bank = self
+            .ro
+            .as_ref()
+            .ok_or(AttackError::NotDeployed("ring-oscillator bank"))?
+            .lock();
+        Ok(rail_volts
+            .iter()
+            .map(|&v| bank.sample_mean_count(v))
+            .collect())
+    }
+
+    /// TDC thermometer codes at the given rail voltages, in order, under
+    /// one sensor lock; the TDC counterpart of
+    /// [`sample_ro_at`](Self::sample_ro_at).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttackError::NotDeployed`] if no TDC is deployed.
+    pub fn sample_tdc_at(&self, rail_volts: &[f64]) -> Result<Vec<u32>> {
+        let mut sensor = self
+            .tdc
+            .as_ref()
+            .ok_or(AttackError::NotDeployed("tdc sensor"))?
+            .lock();
+        Ok(rail_volts.iter().map(|&v| sensor.sample(v)).collect())
+    }
+
+    /// Whether an RO bank or a TDC is deployed.
+    pub(crate) fn has_fabric_baseline(&self) -> bool {
+        self.ro.is_some() || self.tdc.is_some()
+    }
+
     /// Samples the TDC's thermometer code at time `t`.
     ///
     /// # Errors
@@ -595,6 +651,58 @@ mod tests {
         let p = Platform::zcu102(6);
         assert!(matches!(
             p.sample_ro(SimTime::ZERO),
+            Err(AttackError::NotDeployed(_))
+        ));
+    }
+
+    #[test]
+    fn batched_baselines_match_single_samples_bit_for_bit() {
+        let twin = || {
+            let mut p = Platform::zcu102(8);
+            let virus = p.deploy_virus(VirusConfig::default()).unwrap();
+            virus.activate_groups(96).unwrap();
+            p.deploy_ro_bank(RoConfig::default()).unwrap();
+            p.deploy_tdc(TdcConfig::default()).unwrap();
+            p
+        };
+        let (batched, single) = (twin(), twin());
+        let (start, period) = (SimTime::from_ms(40), SimTime::from_us(1_000));
+        let volts = batched.fpga_rail_volts(start, period, 500);
+        let ro = batched.sample_ro_at(&volts).unwrap();
+        let tdc = batched.sample_tdc_at(&volts).unwrap();
+        let instants = (0..500u64).map(|k| start + SimTime::from_nanos(period.as_nanos() * k));
+        let ro_single: Vec<f64> = instants
+            .clone()
+            .map(|t| single.sample_ro(t).unwrap())
+            .collect();
+        let tdc_single: Vec<u32> = instants.map(|t| single.sample_tdc(t).unwrap()).collect();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ro), bits(&ro_single));
+        assert_eq!(tdc, tdc_single);
+        let taken = |p: &Platform| {
+            let ro = p.ro.as_ref().unwrap().lock().samples_taken();
+            (ro, p.tdc.as_ref().unwrap().lock().samples_taken())
+        };
+        assert_eq!(taken(&batched), (500, 500));
+        assert_eq!(taken(&batched), taken(&single));
+        // The noise streams stay in step after the batch.
+        let next = SimTime::from_ms(900);
+        assert_eq!(
+            batched.sample_ro(next).unwrap().to_bits(),
+            single.sample_ro(next).unwrap().to_bits()
+        );
+        assert_eq!(
+            batched.sample_tdc(next).unwrap(),
+            single.sample_tdc(next).unwrap()
+        );
+        let bare = Platform::zcu102(9);
+        assert!(!bare.has_fabric_baseline());
+        assert!(matches!(
+            bare.sample_ro_at(&volts),
+            Err(AttackError::NotDeployed(_))
+        ));
+        assert!(matches!(
+            bare.sample_tdc_at(&volts),
             Err(AttackError::NotDeployed(_))
         ));
     }

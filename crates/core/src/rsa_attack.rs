@@ -14,7 +14,8 @@
 //! statistical key-recovery attacks.
 
 use fpga_fabric::rsa::{RsaConfig, RsaKey};
-use trace_stats::separability::{separability_quantized, Separability};
+use sim_rt::pool::Pool;
+use trace_stats::separability::{from_summaries, GroupSummary, Separability};
 use trace_stats::Summary;
 use zynq_soc::{PowerDomain, SimTime};
 
@@ -172,17 +173,29 @@ impl RsaAttackReport {
 
 /// Runs the Hamming-weight experiment: for each weight, a fresh platform
 /// deploys an RSA circuit with a key of that weight and the unprivileged
-/// attacker profiles the FPGA current and power channels.
+/// attacker profiles the FPGA current and power channels. The keys spread
+/// across the process-wide pool.
 ///
 /// # Errors
 ///
 /// Propagates key construction, deployment, capture and analysis errors.
 pub fn run(config: &RsaAttackConfig) -> Result<RsaAttackReport> {
-    run_hardened(config, crate::defend::UNDEFENDED)
+    run_with(config, Pool::global())
 }
 
-/// [`run`] against a defended platform: `harden` is applied to each fresh
-/// per-key platform after the victim circuit deploys and before any
+/// [`run`] with the keys spread across `pool`. Each key's platform is a
+/// pure function of `(seed, key index)`, so the report is bit-identical
+/// at any pool width.
+///
+/// # Errors
+///
+/// As [`run`].
+pub fn run_with(config: &RsaAttackConfig, pool: &Pool) -> Result<RsaAttackReport> {
+    run_hardened(config, pool, crate::defend::UNDEFENDED)
+}
+
+/// [`run_with`] against a defended platform: `harden` is applied to each
+/// fresh per-key platform after the victim circuit deploys and before any
 /// capture, modelling a countermeasure the victim (not the attacker)
 /// controls.
 ///
@@ -191,66 +204,77 @@ pub fn run(config: &RsaAttackConfig) -> Result<RsaAttackReport> {
 /// As [`run`], plus whatever `harden` returns.
 pub fn run_hardened(
     config: &RsaAttackConfig,
+    pool: &Pool,
     harden: crate::defend::Hardener<'_>,
 ) -> Result<RsaAttackReport> {
     config.validate()?;
-    let mut observations = Vec::with_capacity(config.hamming_weights.len());
-    let mut current_groups: Vec<(String, Vec<f64>)> = Vec::new();
-    let mut power_groups: Vec<(String, Vec<f64>)> = Vec::new();
+    let observations = pool
+        .par_map(&config.hamming_weights, |i, &weight| {
+            observe_key(config, i, weight, harden)
+        })
+        .into_iter()
+        .collect::<Result<Vec<KeyObservation>>>()?;
 
-    for (i, &weight) in config.hamming_weights.iter().enumerate() {
-        let key = RsaKey::with_hamming_weight(weight, config.seed ^ (i as u64))
-            .map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
-        let mut platform = Platform::zcu102(config.seed.wrapping_add(i as u64 * 7_919));
-        platform.deploy_rsa(RsaConfig::default(), key)?;
-        harden(&mut platform)?;
-        let sampler = CurrentSampler::unprivileged(&platform);
-        let start = SimTime::from_ms(40);
-        let current = sampler.capture(
-            PowerDomain::FpgaLogic,
-            Channel::Current,
-            start,
-            config.sample_rate_hz,
-            config.samples_per_key,
-        )?;
-        let power = sampler.capture(
-            PowerDomain::FpgaLogic,
-            Channel::Power,
-            start,
-            config.sample_rate_hz,
-            config.samples_per_key,
-        )?;
-        let power_mw: Vec<f64> = power.samples.iter().map(|uw| uw / 1_000.0).collect();
-        observations.push(KeyObservation {
-            hamming_weight: weight,
-            current_ma: Summary::from_samples(&current.samples)?,
-            power_mw: Summary::from_samples(&power_mw)?,
-        });
-        current_groups.push((format!("HW={weight}"), current.samples));
-        power_groups.push((format!("HW={weight}"), power_mw));
-    }
-
-    let current_refs: Vec<(&str, &[f64])> = current_groups
-        .iter()
-        .map(|(l, s)| (l.as_str(), s.as_slice()))
-        .collect();
-    let power_refs: Vec<(&str, &[f64])> = power_groups
-        .iter()
-        .map(|(l, s)| (l.as_str(), s.as_slice()))
-        .collect();
+    let groups = |channel: fn(&KeyObservation) -> Summary| -> Vec<GroupSummary> {
+        observations
+            .iter()
+            .map(|o| GroupSummary {
+                label: format!("HW={}", o.hamming_weight),
+                summary: channel(o),
+            })
+            .collect()
+    };
     // Resolutions: the hwmon current node reads integer mA (1 mA floor).
     // The power register steps in 25 x current LSB; on the paper's sensor
     // calibration that is the quoted "maximum resolution of 25 mW", so two
     // keys whose true power difference is below that LSB latch
     // indistinguishable register values.
     let power_lsb_mw = 25.0;
-    let current_separability = separability_quantized(&current_refs, config.z_score, 1.0)?;
-    let power_separability = separability_quantized(&power_refs, config.z_score, power_lsb_mw)?;
+    let current_separability = from_summaries(groups(|o| o.current_ma), config.z_score, 1.0)?;
+    let power_separability = from_summaries(groups(|o| o.power_mw), config.z_score, power_lsb_mw)?;
 
     Ok(RsaAttackReport {
         observations,
         current_separability,
         power_separability,
+    })
+}
+
+/// Profiles key `i` of the experiment on its own fresh platform.
+fn observe_key(
+    config: &RsaAttackConfig,
+    i: usize,
+    weight: u32,
+    harden: crate::defend::Hardener<'_>,
+) -> Result<KeyObservation> {
+    let key = RsaKey::with_hamming_weight(weight, config.seed ^ (i as u64))
+        .map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
+    let mut platform = Platform::zcu102(config.seed.wrapping_add(i as u64 * 7_919));
+    platform.deploy_rsa(RsaConfig::default(), key)?;
+    harden(&mut platform)?;
+    let sampler = CurrentSampler::unprivileged(&platform);
+    let start = SimTime::from_ms(40);
+    let current = sampler.capture(
+        PowerDomain::FpgaLogic,
+        Channel::Current,
+        start,
+        config.sample_rate_hz,
+        config.samples_per_key,
+    )?;
+    let mut power = sampler.capture(
+        PowerDomain::FpgaLogic,
+        Channel::Power,
+        start,
+        config.sample_rate_hz,
+        config.samples_per_key,
+    )?;
+    for uw in &mut power.samples {
+        *uw /= 1_000.0;
+    }
+    Ok(KeyObservation {
+        hamming_weight: weight,
+        current_ma: Summary::from_samples(&current.samples)?,
+        power_mw: Summary::from_samples(&power.samples)?,
     })
 }
 

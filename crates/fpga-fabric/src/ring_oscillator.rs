@@ -141,26 +141,42 @@ impl RoBank {
         self.regions[i]
     }
 
+    /// Relative RO frequency at rail voltage `v` (first-order delay model).
+    fn freq_scale(&self, v: f64) -> f64 {
+        let dv_rel = (v - self.config.nominal_volts) / self.config.nominal_volts;
+        1.0 + self.config.voltage_sensitivity * dv_rel
+    }
+
+    /// One counter readout of RO `i` over a sampling window: its nominal
+    /// frequency scaled by `freq_scale`, plus one jitter draw.
+    fn count(&mut self, i: usize, freq_scale: f64) -> u32 {
+        let window_s = self.config.sample_window.as_secs_f64();
+        let counts = self.ro_freq_mhz[i] * 1e6 * freq_scale * window_s
+            + self.noise.sample(0.0, self.config.jitter_counts);
+        counts.round().max(0.0) as u32
+    }
+
     /// Samples every counter over one window at rail voltage `rail_v`,
     /// returning integer counts (what the attacker's readback logic sees).
     pub fn sample_counts(&mut self, rail_v: f64) -> Vec<u32> {
         self.samples_taken += 1;
-        let window_s = self.config.sample_window.as_secs_f64();
-        let dv_rel = (rail_v - self.config.nominal_volts) / self.config.nominal_volts;
-        let freq_scale = 1.0 + self.config.voltage_sensitivity * dv_rel;
-        let jitter = self.config.jitter_counts;
-        let mut out = Vec::with_capacity(self.config.count);
-        for &f_mhz in &self.ro_freq_mhz {
-            let counts = f_mhz * 1e6 * freq_scale * window_s + self.noise.sample(0.0, jitter);
-            out.push(counts.round().max(0.0) as u32);
-        }
-        out
+        let freq_scale = self.freq_scale(rail_v);
+        (0..self.ro_freq_mhz.len())
+            .map(|i| self.count(i, freq_scale))
+            .collect()
     }
 
-    /// Mean counter value across the bank for one sampling window.
+    /// Mean counter value across the bank for one sampling window — the
+    /// mean of [`RoBank::sample_counts`], summed in RO order without
+    /// materializing the counts (integer sums are exact in `f64`).
     pub fn sample_mean_count(&mut self, rail_v: f64) -> f64 {
-        let counts = self.sample_counts(rail_v);
-        counts.iter().map(|&c| c as f64).sum::<f64>() / counts.len() as f64
+        self.samples_taken += 1;
+        let freq_scale = self.freq_scale(rail_v);
+        let mut sum = 0.0;
+        for i in 0..self.ro_freq_mhz.len() {
+            sum += f64::from(self.count(i, freq_scale));
+        }
+        sum / self.ro_freq_mhz.len() as f64
     }
 
     /// Samples the bank with *local* IR-drop hotspots in addition to the
@@ -174,25 +190,19 @@ impl RoBank {
     pub fn sample_counts_spatial(&mut self, rail_v: f64, hotspots: &[(Region, f64)]) -> Vec<u32> {
         const D0: f64 = 0.1;
         self.samples_taken += 1;
-        let window_s = self.config.sample_window.as_secs_f64();
-        let jitter = self.config.jitter_counts;
-        let regions = self.regions.clone();
-        let mut out = Vec::with_capacity(self.config.count);
-        for (i, &f_mhz) in self.ro_freq_mhz.iter().enumerate() {
-            let local_droop: f64 = hotspots
-                .iter()
-                .map(|(region, droop_v)| {
-                    let d = regions[i].distance_to(region);
-                    droop_v * D0 / (d + D0)
-                })
-                .sum();
-            let v = rail_v - local_droop;
-            let dv_rel = (v - self.config.nominal_volts) / self.config.nominal_volts;
-            let freq_scale = 1.0 + self.config.voltage_sensitivity * dv_rel;
-            let counts = f_mhz * 1e6 * freq_scale * window_s + self.noise.sample(0.0, jitter);
-            out.push(counts.round().max(0.0) as u32);
-        }
-        out
+        (0..self.ro_freq_mhz.len())
+            .map(|i| {
+                let local_droop: f64 = hotspots
+                    .iter()
+                    .map(|(region, droop_v)| {
+                        let d = self.regions[i].distance_to(region);
+                        droop_v * D0 / (d + D0)
+                    })
+                    .sum();
+                let freq_scale = self.freq_scale(rail_v - local_droop);
+                self.count(i, freq_scale)
+            })
+            .collect()
     }
 
     /// Resource utilization of the deployed bank: each RO is `stages` LUTs
@@ -274,6 +284,19 @@ mod tests {
         let weak_delta = weak.sample_mean_count(dv) - weak.sample_mean_count(0.85);
         let strong_delta = strong.sample_mean_count(dv) - strong.sample_mean_count(0.85);
         assert!(strong_delta > 2.0 * weak_delta);
+    }
+
+    #[test]
+    fn mean_count_is_the_bit_exact_mean_of_the_counts() {
+        let mut a = RoBank::new(RoConfig::default(), 41);
+        let mut b = RoBank::new(RoConfig::default(), 41);
+        for k in 0..200 {
+            let v = 0.84 + k as f64 * 1e-4;
+            let counts = a.sample_counts(v);
+            let mean = counts.iter().map(|&c| c as f64).sum::<f64>() / counts.len() as f64;
+            assert_eq!(b.sample_mean_count(v).to_bits(), mean.to_bits());
+        }
+        assert_eq!(a.samples_taken(), b.samples_taken());
     }
 
     #[test]

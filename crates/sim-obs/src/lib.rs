@@ -31,7 +31,10 @@
 //! latency histograms behind cheap atomic handles; [`metrics::snapshot`]
 //! freezes them into records for the same export pipeline. The
 //! [`counter!`], [`gauge!`], and [`histogram!`] macros cache the registry
-//! lookup in a per-call-site static, so hot paths pay one atomic add.
+//! lookup in a per-call-site static. Counters keep one cache-line-aligned
+//! cell per thread and sum the cells on read, so a hot-path increment is
+//! an uncontended atomic add even when several threads count the same
+//! event.
 //!
 //! # Tracing and the flight recorder
 //!

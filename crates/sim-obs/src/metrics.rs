@@ -3,10 +3,13 @@
 //!
 //! Handles are `Arc`s into a global registry; the [`crate::counter!`],
 //! [`crate::gauge!`], and [`crate::histogram!`] macros cache the registry
-//! lookup in a per-call-site static so a hot-path update is one atomic
-//! read-modify-write. [`snapshot`] freezes every metric into plain data
-//! that exports through [`sim_rt::ser`] — the same JSONL/CSV pipeline the
-//! attack results use.
+//! lookup in a per-call-site static. A [`Counter`] is an array of
+//! cache-line-aligned per-thread cells, so a hot-path increment is one
+//! uncontended atomic add on the calling thread's cell and threads
+//! counting the same event never share a cache line; reads sum the
+//! cells. [`snapshot`] freezes every metric into plain data that exports
+//! through [`sim_rt::ser`] — the same JSONL/CSV pipeline the attack
+//! results use.
 //!
 //! # Examples
 //!
@@ -25,7 +28,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sim_rt::ser::{Record, ToRecord};
@@ -46,10 +49,30 @@ pub fn enabled() -> bool {
     !crate::COMPILED_OUT && ENABLED.load(Ordering::Relaxed)
 }
 
-/// Monotonically increasing event count.
+/// Cells per [`Counter`]. Threads take cells round-robin in creation
+/// order, so up to this many live threads (pool workers, serve threads)
+/// count without sharing a cache line.
+const CELLS: usize = 16;
+
+/// One counter cell, alone on its cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Cell(AtomicU64);
+
+/// The calling thread's cell index, assigned on its first count.
+fn cell_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % CELLS;
+    }
+    INDEX.with(|i| *i)
+}
+
+/// Monotonically increasing event count, sharded into per-thread cells
+/// that [`Counter::get`] sums.
 #[derive(Debug, Default)]
 pub struct Counter {
-    value: AtomicU64,
+    cells: [Cell; CELLS],
 }
 
 impl Counter {
@@ -61,7 +84,7 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         if enabled() {
-            self.value.fetch_add(n, Ordering::Relaxed);
+            self.cells[cell_index()].0.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -69,17 +92,21 @@ impl Counter {
     /// observability layer itself relies on (per-level event counts).
     pub(crate) fn force_inc(&self) {
         if !crate::COMPILED_OUT {
-            self.value.fetch_add(1, Ordering::Relaxed);
+            self.cells[cell_index()].0.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Current value.
+    /// Current value: the sum over every thread's cell.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.cells
+            .iter()
+            .fold(0u64, |sum, c| sum.wrapping_add(c.0.load(Ordering::Relaxed)))
     }
 
     fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        for c in &self.cells {
+            c.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -735,8 +762,76 @@ mod tests {
         assert!(csv.starts_with("name,kind,value,count,"));
     }
 
+    /// Serializes the tests that toggle [`set_enabled`] against those that
+    /// assert exact totals: the kill-switch is process-global.
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[test]
+    fn sharded_counter_sums_every_thread() {
+        let _guard = exclusive();
+        let c = counter("test.sharded.counter");
+        let threads: Vec<usize> = (0..8).collect();
+        let start = std::sync::Barrier::new(threads.len());
+        sim_rt::pool::Pool::new(threads.len()).par_map(&threads, |_, _| {
+            start.wait();
+            for _ in 0..100_000 {
+                c.inc();
+            }
+        });
+        assert_eq!(c.get(), 800_000);
+        assert_eq!(snapshot().counter("test.sharded.counter"), Some(800_000));
+    }
+
+    #[test]
+    fn counter_reset_zeroes_every_cell() {
+        let _guard = exclusive();
+        let c = Counter::default();
+        let threads: Vec<usize> = (0..CELLS + 3).collect();
+        // The barrier holds every job on its own worker thread.
+        let start = std::sync::Barrier::new(threads.len());
+        sim_rt::pool::Pool::new(threads.len()).par_map(&threads, |_, &i| {
+            start.wait();
+            c.add(i as u64 + 1);
+        });
+        assert!(
+            c.cells
+                .iter()
+                .filter(|cell| cell.0.load(Ordering::Relaxed) > 0)
+                .count()
+                > 1
+        );
+        c.reset();
+        assert!(c
+            .cells
+            .iter()
+            .all(|cell| cell.0.load(Ordering::Relaxed) == 0));
+        assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn add_and_force_inc_share_one_total() {
+        let _guard = exclusive();
+        let c = Counter::default();
+        let jobs = [0usize, 1, 2, 3];
+        sim_rt::pool::Pool::new(jobs.len()).par_map(&jobs, |_, &j| {
+            if j % 2 == 0 {
+                c.add(10);
+            } else {
+                c.force_inc();
+            }
+        });
+        c.add(5);
+        c.force_inc();
+        assert_eq!(c.get(), 10 + 1 + 10 + 1 + 5 + 1);
+    }
+
     #[test]
     fn disabled_metrics_do_not_record() {
+        let _guard = exclusive();
         let c = counter("test.disabled.counter");
         set_enabled(false);
         c.inc();

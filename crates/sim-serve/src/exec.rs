@@ -156,7 +156,7 @@ fn execute_on_inner(
         }
         "characterize" => {
             let cfg = characterize_config(config)?;
-            let report = characterize::run(platform, &cfg)?;
+            let report = characterize::run_with(platform, &cfg, &Pool::serial())?;
             Ok(characterize_result(&report))
         }
         _ => execute_pure(verb, seed, config),
@@ -177,7 +177,7 @@ fn execute_pure(verb: &str, seed: u64, config: &Value) -> Result<Value, ExecErro
         }
         "rsa" => {
             let cfg = rsa_config(config, seed)?;
-            let report = rsa_attack::run(&cfg)?;
+            let report = rsa_attack::run_with(&cfg, &Pool::serial())?;
             Ok(rsa_result(&report))
         }
         "covert" => {

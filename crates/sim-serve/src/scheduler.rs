@@ -308,9 +308,12 @@ impl Scheduler {
                     }
                     if st.draining {
                         let waiters = std::mem::take(&mut st.shutdown_jobs);
-                        st.stopped = true;
                         drop(st);
+                        // Ack before `stopped` flips: the accept loop shuts
+                        // every connection down once it sees `stopped`, and
+                        // would cut an ack still being written.
                         self.ack_shutdown(waiters);
+                        self.lock_state().stopped = true;
                         self.work.notify_all();
                         return;
                     }
@@ -877,6 +880,29 @@ mod tests {
         let result = ack.result.as_ref().unwrap();
         assert_eq!(result.get("drained").unwrap().as_bool(), Some(true));
         assert_eq!(result.get("served").unwrap().as_i64(), Some(3));
+    }
+
+    /// The shutdown ack is written while the scheduler still reports
+    /// running: once `stopped` flips, the accept loop shuts every socket
+    /// down, which would cut an ack written afterwards.
+    #[test]
+    fn shutdown_ack_is_written_before_stopped_flips() {
+        let s = Arc::new(sched(SchedConfig::default()));
+        let weak = Arc::downgrade(&s);
+        let stopped_at_ack = Arc::new(Mutex::new(None));
+        let record = Arc::clone(&stopped_at_ack);
+        let sink: Sink = Arc::new(move |resp: Response| {
+            if resp.verb == "shutdown" {
+                let stopped = weak.upgrade().map(|s| s.stopped());
+                *record
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = stopped;
+            }
+        });
+        s.submit(Request::new(1, "shutdown"), sink);
+        s.dispatch_loop();
+        assert!(s.stopped());
+        assert_eq!(*stopped_at_ack.lock().unwrap(), Some(false));
     }
 
     #[test]

@@ -144,8 +144,13 @@ impl Server {
                     Ok((stream, _peer)) => {
                         obs::counter!("serve.connections").inc();
                         // Accepted sockets must block: readers park in
-                        // read_line until data or shutdown arrives.
-                        if stream.set_nonblocking(false).is_err() {
+                        // read_line until data or shutdown arrives. Nagle
+                        // stays off: a response is one small write, and
+                        // holding it for the client's delayed ACK adds
+                        // tens of milliseconds to a cached hit.
+                        if stream.set_nonblocking(false).is_err()
+                            || stream.set_nodelay(true).is_err()
+                        {
                             continue;
                         }
                         let (read_half, write_half) = match (stream.try_clone(), stream.try_clone())

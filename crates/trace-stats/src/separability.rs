@@ -74,6 +74,8 @@ pub fn separability(groups: &[(&str, &[f64])], z: f64) -> Result<Separability> {
 /// RSA Hamming-weight groups to ~5 on the 25 mW power channel while the
 /// 1 mA current channel keeps all 17 apart.
 ///
+/// Summarizes each group and defers to [`from_summaries`].
+///
 /// # Errors
 ///
 /// Same conditions as [`separability`]; additionally rejects a negative
@@ -83,6 +85,28 @@ pub fn separability_quantized(
     z: f64,
     resolution: f64,
 ) -> Result<Separability> {
+    let summaries = groups
+        .iter()
+        .map(|(label, samples)| {
+            Ok(GroupSummary {
+                label: (*label).to_owned(),
+                summary: Summary::from_samples(samples)?,
+            })
+        })
+        .collect::<Result<_>>()?;
+    from_summaries(summaries, z, resolution)
+}
+
+/// [`separability_quantized`] over already-summarized groups, for callers
+/// that reduce each group's samples as they are captured instead of
+/// keeping them.
+///
+/// # Errors
+///
+/// [`StatsError::Empty`] if `groups` is empty;
+/// [`StatsError::InvalidParameter`] if `z` is not positive or
+/// `resolution` is negative.
+pub fn from_summaries(groups: Vec<GroupSummary>, z: f64, resolution: f64) -> Result<Separability> {
     if groups.is_empty() {
         return Err(StatsError::Empty);
     }
@@ -94,21 +118,11 @@ pub fn separability_quantized(
             "resolution must be non-negative",
         ));
     }
-    let summaries: Vec<GroupSummary> = groups
-        .iter()
-        .map(|(label, samples)| {
-            Ok(GroupSummary {
-                label: (*label).to_owned(),
-                summary: Summary::from_samples(samples)?,
-            })
-        })
-        .collect::<Result<_>>()?;
-
-    let mut cluster_of = Vec::with_capacity(summaries.len());
+    let mut cluster_of = Vec::with_capacity(groups.len());
     let mut current = 0usize;
-    let mut cluster_start = &summaries[0].summary;
+    let mut cluster_start = &groups[0].summary;
     cluster_of.push(0);
-    for g in &summaries[1..] {
+    for g in &groups[1..] {
         if means_distinguishable(cluster_start, &g.summary, z, resolution) {
             current += 1;
             cluster_start = &g.summary;
@@ -116,7 +130,7 @@ pub fn separability_quantized(
         cluster_of.push(current);
     }
     Ok(Separability {
-        groups: summaries,
+        groups,
         cluster_of,
         distinguishable: current + 1,
     })
@@ -200,6 +214,46 @@ mod tests {
         let a = spread(0.0, 10);
         assert!(separability(&[("a", &a)], 0.0).is_err());
         assert!(separability(&[("a", &[])], 3.0).is_err());
+    }
+
+    fn summarize(groups: &[(&str, &[f64])]) -> Vec<GroupSummary> {
+        groups
+            .iter()
+            .map(|(label, samples)| GroupSummary {
+                label: (*label).to_owned(),
+                summary: Summary::from_samples(samples).unwrap(),
+            })
+            .collect()
+    }
+
+    /// Both entry points on the same groups; they must agree exactly.
+    fn both(groups: &[(&str, &[f64])], z: f64, resolution: f64) -> Separability {
+        let direct = separability_quantized(groups, z, resolution).unwrap();
+        let summarized = from_summaries(summarize(groups), z, resolution).unwrap();
+        assert_eq!(direct, summarized);
+        summarized
+    }
+
+    #[test]
+    fn from_summaries_matches_the_sample_path() {
+        let a = spread(0.0, 40);
+        let b = spread(0.05, 40);
+        let c = spread(30.0, 40);
+        both(&[("a", &a), ("b", &b), ("c", &c)], 3.0, 0.0);
+        both(&[("a", &a), ("b", &b), ("c", &c)], 3.0, 25.0);
+        both(&[("a", &a), ("c", &c)], 0.5, 1.0);
+        // Constant groups: zero variance, so at resolution 0 the verdict
+        // falls to the exact mean comparison.
+        let (k1, k2, k3) = (vec![5.0; 20], vec![5.0; 20], vec![7.0; 20]);
+        let zero_var = both(&[("k1", &k1), ("k2", &k2), ("k3", &k3)], 3.0, 0.0);
+        assert_eq!(zero_var.cluster_of, vec![0, 0, 1]);
+        assert_eq!(
+            both(&[("k1", &k1), ("k3", &k3)], 3.0, 5.0).distinguishable,
+            1
+        );
+        assert!(from_summaries(Vec::new(), 3.0, 0.0).is_err());
+        assert!(from_summaries(summarize(&[("a", &a)]), 0.0, 0.0).is_err());
+        assert!(from_summaries(summarize(&[("a", &a)]), 3.0, -1.0).is_err());
     }
 
     #[test]

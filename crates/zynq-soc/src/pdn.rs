@@ -152,11 +152,6 @@ impl Pdn {
     /// the raw (unregulated) `V_set - I*R_raw - L*dI/dt` response, where the
     /// raw plane impedance is ~20x the regulated effective impedance.
     pub fn rail_voltage(&self, i_ma: f64, di_dt_ma_per_us: f64) -> f64 {
-        // A slew past ~1 A/us is a genuine transient event (virus toggles,
-        // DPU layer edges) — worth counting for the campaign profile.
-        if di_dt_ma_per_us.abs() > 1_000.0 {
-            obs::counter!("zynq.pdn.transients").inc();
-        }
         let i_a = i_ma / 1_000.0;
         let di_dt_a_per_s = di_dt_ma_per_us * 1_000.0; // mA/us == A/ms -> A/s x1000
                                                        // Interpolate impedance between regulated and raw as the stabilizer
@@ -164,7 +159,14 @@ impl Pdn {
         let raw_factor = 20.0;
         let scale = self.stabilizer_strength + (1.0 - self.stabilizer_strength) * raw_factor;
         let drop = i_a * self.r_eff_ohm * scale + self.l_eff_h * scale * di_dt_a_per_s;
-        obs::gauge!("zynq.pdn.droop_uv").set(drop * 1e6);
+        // A slew past ~1 A/us is a genuine transient event (virus toggles,
+        // DPU layer edges) — worth counting for the campaign profile. The
+        // droop gauge holds the most recent transient's droop; steady
+        // operating points leave it alone, keeping this path store-free.
+        if di_dt_ma_per_us.abs() > 1_000.0 {
+            obs::counter!("zynq.pdn.transients").inc();
+            obs::gauge!("zynq.pdn.droop_uv").set(drop * 1e6);
+        }
         let v = self.v_set - drop;
         if self.stabilizer_strength >= 1.0 {
             self.band.clamp(v)
