@@ -136,6 +136,29 @@ echo "$capture_out" | grep -qx 'digest fig2 8c10b055212dc7c9  fig4 009b06823d7a4
 }
 echo "    $(echo "$capture_out" | grep '^digest')"
 
+echo "==> perfbench classify smoke (Table III + campaign, pinned digests)"
+# One short run of the classify workload. Any failed shape check fails
+# it, and the digest line pins the Table III grid and the campaign bit
+# for bit at seed 401, so a drift in any random-forest tree fails CI.
+classify_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload classify --seed 401 --seconds 5 --trace 0)" || {
+    echo "ci.sh: perfbench classify exited non-zero" >&2
+    exit 1
+}
+classify_result="$(echo "$classify_out" | tail -n 1)"
+if echo "$classify_result" | grep -q '"correct": false' ||
+    ! echo "$classify_result" | grep -q '"failed": 0,'; then
+    echo "ci.sh: perfbench classify reported failures:" >&2
+    echo "$classify_out" >&2
+    exit 1
+fi
+echo "$classify_out" | grep -qx 'digest table3 cdf4cd6d2e2e97d1  campaign a8b5506105aae8ce' || {
+    echo "ci.sh: perfbench classify digests drifted from the pinned seed-401 results:" >&2
+    echo "$classify_out" | grep '^digest' >&2
+    exit 1
+}
+echo "    $(echo "$classify_out" | grep '^digest')"
+
 echo "==> serve throughput smoke (bench --quick)"
 serve_artifact="crates/bench/BENCH_serve_throughput.quick.json"
 rm -f "$serve_artifact"

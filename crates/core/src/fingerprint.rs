@@ -202,6 +202,7 @@ pub fn collect_corpus_hardened(
     pool: &Pool,
     harden: crate::defend::Hardener<'_>,
 ) -> Result<Vec<ModelCapture>> {
+    let _trace = obs::trace::span("core.fingerprint", "collect_corpus");
     if models.is_empty() {
         return Err(AttackError::InvalidParameter("no victim models".into()));
     }
@@ -380,6 +381,7 @@ pub fn evaluate_grid_with(
     durations_s: &[f64],
     pool: &Pool,
 ) -> Result<AccuracyGrid> {
+    let _trace = obs::trace::span("core.fingerprint", "evaluate_grid");
     config.validate()?;
     let n_classes = corpus.iter().map(|c| c.label).max().unwrap_or(0) + 1;
     let cells_spec: Vec<(SensorChannel, f64)> = TABLE3_CHANNELS

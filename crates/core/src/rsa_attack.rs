@@ -207,6 +207,7 @@ pub fn run_hardened(
     pool: &Pool,
     harden: crate::defend::Hardener<'_>,
 ) -> Result<RsaAttackReport> {
+    let _trace = obs::trace::span("core.rsa_attack", "run");
     config.validate()?;
     let observations = pool
         .par_map(&config.hamming_weights, |i, &weight| {

@@ -160,8 +160,7 @@ impl Dataset {
         &self.labels
     }
 
-    /// Builds a sub-dataset from sample indices (with repetition allowed —
-    /// this is how bootstrap resamples are expressed).
+    /// Builds a sub-dataset from sample indices (with repetition allowed).
     ///
     /// # Panics
     ///

@@ -82,14 +82,12 @@ impl RandomForest {
             })
             .collect();
         let trees = pool.par_map(&seeds, |_, &(tree_seed, bootstrap_seed)| {
-            if config.bootstrap {
-                let mut rng = SimRng::seed_from_u64(bootstrap_seed);
-                let idx = bootstrap_indices(data.len(), &mut rng);
-                let sample = data.subset(&idx);
-                DecisionTree::fit(&sample, &tree_config, tree_seed)
+            let rows = if config.bootstrap {
+                bootstrap_indices(data.len(), &mut SimRng::seed_from_u64(bootstrap_seed))
             } else {
-                DecisionTree::fit(data, &tree_config, tree_seed)
-            }
+                (0..data.len()).collect()
+            };
+            DecisionTree::fit_rows(data, rows, &tree_config, tree_seed)
         });
         RandomForest {
             trees,
@@ -121,7 +119,10 @@ impl RandomForest {
         votes
     }
 
-    /// Predicted class (majority vote; ties break to the lower class id).
+    /// Predicted class (majority vote; ties go to the *higher* class id,
+    /// the last maximum `max_by_key` returns). [`top_k`](Self::top_k)
+    /// breaks ties the other way, so on a tied vote `predict` and
+    /// `top_k(x, 1)` can name different classes.
     pub fn predict(&self, x: &[f64]) -> usize {
         let votes = self.votes(x);
         votes
@@ -132,7 +133,8 @@ impl RandomForest {
             .unwrap_or(0)
     }
 
-    /// The `k` classes with the most votes, most-voted first.
+    /// The `k` classes with the most votes, most-voted first; equal votes
+    /// go lower class id first.
     pub fn top_k(&self, x: &[f64], k: usize) -> Vec<usize> {
         let votes = self.votes(x);
         let mut order: Vec<usize> = (0..votes.len()).collect();
@@ -231,6 +233,23 @@ mod tests {
     }
 
     #[test]
+    fn predict_and_top_k_break_vote_ties_differently() {
+        // Two stumps split at 0.5 with opposite labels: one vote each.
+        let stump = |labels| {
+            let data = Dataset::new(vec![vec![0.0], vec![1.0]], labels).unwrap();
+            DecisionTree::fit(&data, &TreeConfig::default(), 0)
+        };
+        let forest = RandomForest {
+            trees: vec![stump(vec![0, 1]), stump(vec![1, 0])],
+            n_classes: 2,
+        };
+        assert_eq!(forest.votes(&[0.2]), vec![1, 1]);
+        assert_eq!(forest.predict(&[0.2]), 1, "predict: higher id");
+        assert_eq!(forest.top_k(&[0.2], 1), vec![0], "top_k: lower id");
+        assert_eq!(forest.top_k(&[0.2], 2), vec![0, 1]);
+    }
+
+    #[test]
     fn top_k_accuracy_dominates_top_1() {
         let data = blobs(6, 8, 6.0); // noisy blobs
         let forest = RandomForest::fit(
@@ -290,6 +309,89 @@ mod tests {
             },
         );
         assert_eq!(forest.accuracy(&data), 1.0);
+    }
+
+    /// A seeded 39-class, 156-sample, 12-feature dataset built to stress
+    /// the split search: every feature takes many exactly repeated values,
+    /// and a third of them mix -0.0 and +0.0 with small values of either
+    /// sign around them.
+    fn golden_dataset() -> Dataset {
+        use sim_rt::rng::Rng;
+        let mut rng = SimRng::seed_from_u64(0x7AB1E3);
+        let mut features = Vec::new();
+        let mut labels = Vec::new();
+        for c in 0..39usize {
+            for _ in 0..4 {
+                let row = (0..12)
+                    .map(|f| match f % 3 {
+                        0 => (c % 13) as f64 - 8.0 + (rng.next_f64() * 4.0).floor(),
+                        1 if rng.gen_bool(0.5) => {
+                            if rng.gen_bool(0.5) {
+                                -0.0
+                            } else {
+                                0.0
+                            }
+                        }
+                        1 => (c as f64 - 19.0) * 0.5 + rng.next_f64().round(),
+                        _ => (rng.next_f64() * 10.0).round() / 10.0 - 0.5,
+                    })
+                    .collect();
+                features.push(row);
+                labels.push(c);
+            }
+        }
+        Dataset::new(features, labels).unwrap()
+    }
+
+    fn golden_config() -> ForestConfig {
+        ForestConfig {
+            n_trees: 25,
+            seed: 0x51DE,
+            ..ForestConfig::default()
+        }
+    }
+
+    /// FNV-1a over every node of every tree, in tree order.
+    fn structure_digest(forest: &RandomForest) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for tree in &forest.trees {
+            for word in tree.structure_words() {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Recorded before the split search was rewritten: any change to a
+    /// chosen feature, a threshold bit or a leaf count moves the digest.
+    const GOLDEN_FOREST_DIGEST: u64 = 0xd1e0_7455_3197_d647;
+    /// `cross_validate` top-1 / top-5 bits on the golden dataset, recorded
+    /// alongside [`GOLDEN_FOREST_DIGEST`].
+    const GOLDEN_CV_BITS: (u64, u64) = (0x3fcd_89d8_9d89_d89e, 0x3fe6_2762_7627_6276);
+
+    #[test]
+    fn golden_forest_structure_is_pinned() {
+        let data = golden_dataset();
+        let forest = RandomForest::fit_with(&data, &golden_config(), &Pool::serial());
+        assert_eq!(
+            structure_digest(&forest),
+            GOLDEN_FOREST_DIGEST,
+            "digest {:#018x}",
+            structure_digest(&forest)
+        );
+    }
+
+    #[test]
+    fn golden_cross_validation_is_pinned() {
+        let report = crate::cross_validate(&golden_dataset(), &golden_config(), 4, 3);
+        let bits = (report.top1.to_bits(), report.top5.to_bits());
+        assert_eq!(
+            bits, GOLDEN_CV_BITS,
+            "top1 {} top5 {} bits {bits:#x?}",
+            report.top1, report.top5
+        );
     }
 
     #[test]

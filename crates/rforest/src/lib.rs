@@ -13,6 +13,26 @@
 //! * [`stratified_k_fold`] / [`cross_validate`] — the 10-fold evaluation
 //!   protocol (9 folds train, 1 fold test, rotating).
 //!
+//! # Split search
+//!
+//! Each node counts its classes once, renumbers them over the classes
+//! present, and for every candidate feature sorts one contiguous
+//! `(value, label)` buffer, then scores each threshold between unequal
+//! neighbours with both sides' Gini impurity in one pass. Forest trees
+//! train on their bootstrap row indices directly, without copying rows.
+//! This builds exactly the trees of a plain scan that re-sorts indices,
+//! recounts classes and sums Gini over every class:
+//!
+//! * a class absent from the node adds the term `g -= 0.0`, which leaves
+//!   `g` unchanged bit for bit;
+//! * thresholds fall only between unequal neighbours, so the left counts
+//!   at each candidate, and the order candidates are scanned in, do not
+//!   depend on the order of equal values (−0.0 and +0.0 included);
+//! * `(−0.0 + x) / 2 == (0.0 + x) / 2` for any x ≠ 0, so a threshold next
+//!   to a signed zero is unchanged;
+//! * a tree built over the indices `idx` sees the same rows in the same
+//!   order as a tree built over `data.subset(&idx)`.
+//!
 //! # Examples
 //!
 //! ```

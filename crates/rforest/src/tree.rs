@@ -63,12 +63,23 @@ pub struct DecisionTree {
 impl DecisionTree {
     /// Trains a tree on `data`.
     pub fn fit(data: &Dataset, config: &TreeConfig, seed: u64) -> Self {
+        Self::fit_rows(data, (0..data.len()).collect(), config, seed)
+    }
+
+    /// Trains a tree on the rows `indices` of `data`, in that order and
+    /// with repetition allowed: the tree [`fit`](Self::fit) builds on
+    /// `data.subset(&indices)`, without copying a row.
+    pub(crate) fn fit_rows(
+        data: &Dataset,
+        indices: Vec<usize>,
+        config: &TreeConfig,
+        seed: u64,
+    ) -> Self {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut tree = DecisionTree {
             nodes: Vec::new(),
             n_classes: data.n_classes(),
         };
-        let indices: Vec<usize> = (0..data.len()).collect();
         tree.build(data, indices, config, 0, &mut rng);
         tree
     }
@@ -96,7 +107,7 @@ impl DecisionTree {
             self.nodes.push(Node::Leaf { counts });
             return id;
         }
-        match self.best_split(data, &indices, config, rng) {
+        match self.best_split(data, &indices, &counts, config, rng) {
             Some((feature, threshold)) => {
                 let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
                     .iter()
@@ -134,11 +145,22 @@ impl DecisionTree {
     }
 
     /// Finds the `(feature, threshold)` pair minimizing weighted Gini
-    /// impurity over a random feature subset.
+    /// impurity over a random feature subset. `counts` are the class
+    /// counts of `indices`.
+    ///
+    /// The search is built to pick exactly the split a plain scan would:
+    /// sort the node's samples by each candidate feature, try a threshold
+    /// between every pair of unequal neighbours in ascending order, and
+    /// keep the first lowest score. Labels are renumbered over the node's
+    /// present classes (in ascending class order), so the Gini sums skip
+    /// only zero terms, and a zero term leaves the sum unchanged bit for
+    /// bit. The order of equal values after the unstable sort cannot
+    /// matter, since no threshold falls between them.
     fn best_split(
         &self,
         data: &Dataset,
         indices: &[usize],
+        counts: &[u32],
         config: &TreeConfig,
         rng: &mut SimRng,
     ) -> Option<(usize, f64)> {
@@ -148,33 +170,46 @@ impl DecisionTree {
         features.shuffle(rng);
         features.truncate(k);
 
+        // Class id -> dense id over the classes present at this node.
+        let mut dense = vec![usize::MAX; self.n_classes];
+        let mut node_counts = Vec::new();
+        for (class, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                dense[class] = node_counts.len();
+                node_counts.push(c);
+            }
+        }
+        let labels: Vec<usize> = indices.iter().map(|&i| dense[data.label_of(i)]).collect();
+        let mut sorted: Vec<(f64, usize)> = Vec::with_capacity(indices.len());
+        let mut left_counts = vec![0u32; node_counts.len()];
+        let mut right_counts = node_counts.clone();
+
         let mut best: Option<(f64, usize, f64)> = None;
         let total = indices.len() as f64;
         for &f in &features {
-            // Sort samples by this feature's value.
-            let mut order: Vec<usize> = indices.to_vec();
-            order.sort_by(|&a, &b| {
-                data.features_of(a)[f]
-                    .partial_cmp(&data.features_of(b)[f])
-                    .expect("features validated finite")
-            });
-            let mut left_counts = vec![0u32; self.n_classes];
-            let mut right_counts = self.class_counts(data, indices);
+            sorted.clear();
+            sorted.extend(
+                indices
+                    .iter()
+                    .zip(&labels)
+                    .map(|(&i, &label)| (data.features_of(i)[f], label)),
+            );
+            sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            left_counts.fill(0);
+            right_counts.copy_from_slice(&node_counts);
             let mut n_left = 0.0;
-            for w in 0..order.len() - 1 {
-                let i = order[w];
-                let label = data.label_of(i);
+            for pair in sorted.windows(2) {
+                let ((v_here, label), (v_next, _)) = (pair[0], pair[1]);
                 left_counts[label] += 1;
                 right_counts[label] -= 1;
                 n_left += 1.0;
-                let v_here = data.features_of(i)[f];
-                let v_next = data.features_of(order[w + 1])[f];
                 if v_here == v_next {
                     continue; // can't split between equal values
                 }
                 let n_right = total - n_left;
-                let score = n_left / total * gini(&left_counts, n_left)
-                    + n_right / total * gini(&right_counts, n_right);
+                let (gini_left, gini_right) =
+                    gini_pair(&left_counts, n_left, &right_counts, n_right);
+                let score = n_left / total * gini_left + n_right / total * gini_right;
                 if best.is_none_or(|(s, _, _)| score < s) {
                     best = Some((score, f, (v_here + v_next) / 2.0));
                 }
@@ -213,7 +248,8 @@ impl DecisionTree {
         self.leaf_for(x)
     }
 
-    /// Predicted class (majority of the reached leaf).
+    /// Predicted class (majority of the reached leaf; ties go to the
+    /// higher class id, the last maximum `max_by_key` returns).
     pub fn predict(&self, x: &[f64]) -> usize {
         let counts = self.leaf_for(x);
         counts
@@ -229,6 +265,33 @@ impl DecisionTree {
         self.nodes.len()
     }
 
+    /// Every node's shape as words, in node order: feature, threshold
+    /// bits and child ids for a split; the class counts for a leaf.
+    #[cfg(test)]
+    pub(crate) fn structure_words(&self) -> Vec<u64> {
+        let mut words = Vec::new();
+        for node in &self.nodes {
+            match node {
+                Node::Leaf { counts } => {
+                    words.push(u64::MAX);
+                    words.extend(counts.iter().map(|&c| u64::from(c)));
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => words.extend([
+                    *feature as u64,
+                    threshold.to_bits(),
+                    *left as u64,
+                    *right as u64,
+                ]),
+            }
+        }
+        words
+    }
+
     /// Depth of the tree (0 for a single leaf).
     pub fn depth(&self) -> usize {
         fn walk(nodes: &[Node], id: usize) -> usize {
@@ -241,7 +304,23 @@ impl DecisionTree {
     }
 }
 
-/// Gini impurity of a class-count vector with `n` samples.
+/// Gini impurities `(gini(left, n_left), gini(right, n_right))` of the
+/// two sides of a split, bit for bit: the same two subtraction chains in
+/// the same class order, run side by side. Both sides must be non-empty.
+fn gini_pair(left: &[u32], n_left: f64, right: &[u32], n_right: f64) -> (f64, f64) {
+    let (mut g_left, mut g_right) = (1.0, 1.0);
+    for (&l, &r) in left.iter().zip(right) {
+        let p_left = l as f64 / n_left;
+        let p_right = r as f64 / n_right;
+        g_left -= p_left * p_left;
+        g_right -= p_right * p_right;
+    }
+    (g_left, g_right)
+}
+
+/// Gini impurity of a class-count vector with `n` samples: the reference
+/// [`gini_pair`] is checked against.
+#[cfg(test)]
 fn gini(counts: &[u32], n: f64) -> f64 {
     if n <= 0.0 {
         return 0.0;
@@ -281,6 +360,30 @@ mod tests {
         assert_eq!(gini(&[10, 0], 10.0), 0.0);
         assert!((gini(&[5, 5], 10.0) - 0.5).abs() < 1e-12);
         assert_eq!(gini(&[0, 0], 0.0), 0.0);
+    }
+
+    #[test]
+    fn predict_breaks_leaf_ties_to_the_higher_class() {
+        // Equal features cannot split, so both samples share one leaf.
+        let data = Dataset::new(vec![vec![5.0], vec![5.0]], vec![0, 1]).unwrap();
+        let tree = DecisionTree::fit(&data, &TreeConfig::default(), 0);
+        assert_eq!(tree.vote_counts(&[5.0]), &[1, 1]);
+        assert_eq!(tree.predict(&[5.0]), 1);
+    }
+
+    #[test]
+    fn fit_rows_matches_fit_on_the_subset() {
+        let data = xor_dataset();
+        let mut rng = SimRng::seed_from_u64(4);
+        let idx = bootstrap_indices(data.len(), &mut rng);
+        let config = TreeConfig {
+            features_per_split: Some(1),
+            ..TreeConfig::default()
+        };
+        assert_eq!(
+            DecisionTree::fit_rows(&data, idx.clone(), &config, 9),
+            DecisionTree::fit(&data.subset(&idx), &config, 9)
+        );
     }
 
     #[test]
@@ -368,6 +471,20 @@ mod tests {
                 .filter(|&i| tree.predict(data.features_of(i)) == data.label_of(i))
                 .count();
             assert_eq!(correct, data.len());
+        }
+
+        fn gini_pair_matches_two_gini_calls_bit_for_bit(
+            sides in sim_rt::check::vec_of((0u32..50, 0u32..50), 1..40usize)
+        ) {
+            let (mut left, mut right): (Vec<u32>, Vec<u32>) = sides.into_iter().unzip();
+            // Both sides of a real split are non-empty.
+            left[0] += 1;
+            right[0] += 1;
+            let n_left = left.iter().sum::<u32>() as f64;
+            let n_right = right.iter().sum::<u32>() as f64;
+            let (g_left, g_right) = gini_pair(&left, n_left, &right, n_right);
+            assert_eq!(g_left.to_bits(), gini(&left, n_left).to_bits());
+            assert_eq!(g_right.to_bits(), gini(&right, n_right).to_bits());
         }
 
         fn gini_is_bounded(counts in sim_rt::check::vec_of(0u32..100, 1..10usize)) {

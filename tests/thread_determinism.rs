@@ -12,8 +12,8 @@
 
 use amperebleed::characterize::{self, CharacterizationReport, CharacterizeConfig};
 use amperebleed::fingerprint::{
-    build_dataset, collect_corpus_with, evaluate_grid_with, FingerprintConfig, ModelCapture,
-    TABLE3_CHANNELS,
+    build_dataset, collect_corpus_with, evaluate_grid_with, AccuracyGrid, FingerprintConfig,
+    ModelCapture, TABLE3_CHANNELS,
 };
 use amperebleed::rsa_attack::{self, RsaAttackConfig, RsaAttackReport};
 use amperebleed::Platform;
@@ -86,18 +86,14 @@ fn feature_datasets_are_byte_identical_across_pools() {
 fn accuracy_grid_is_identical_at_1_2_and_8_threads() {
     let (corpus, config) = collect(&Pool::serial());
     let durations = [1.0, 2.0];
-    let serial = evaluate_grid_with(&corpus, &config, &durations, &Pool::serial()).unwrap();
-    let two = evaluate_grid_with(&corpus, &config, &durations, &Pool::new(2)).unwrap();
-    let eight = evaluate_grid_with(&corpus, &config, &durations, &Pool::new(8)).unwrap();
-    assert_eq!(serial, two);
-    assert_eq!(serial, eight);
-    // Exact accuracy equality, bitwise: the grids went through identical
-    // arithmetic, not merely statistically similar runs.
-    for ((_, cells_a), (_, cells_b)) in serial.rows.iter().zip(&eight.rows) {
-        for (a, b) in cells_a.iter().zip(cells_b) {
-            assert_eq!(a.top1.to_bits(), b.top1.to_bits());
-            assert_eq!(a.top5.to_bits(), b.top5.to_bits());
-        }
+    for pool in [Pool::serial(), Pool::new(2), Pool::new(8)] {
+        let grid = evaluate_grid_with(&corpus, &config, &durations, &pool).unwrap();
+        assert_eq!(
+            grid_digest(&grid),
+            GRID_QUICK_DIGEST,
+            "{} threads",
+            pool.threads()
+        );
     }
 }
 
@@ -107,6 +103,9 @@ const FIG2_QUICK_DIGEST: &str = "cbb6b96db3d003fa";
 /// Digest of a quick Figure 4 run, recorded before the keys were spread
 /// across the pool.
 const FIG4_QUICK_DIGEST: &str = "22c786fc1f89e9e8";
+/// Digest of the quick Table III grid (four victims, 1 s and 2 s cells),
+/// recorded before the random forest's split search was rewritten.
+const GRID_QUICK_DIGEST: &str = "45faf1a063b53610";
 
 fn summary_value(s: &Summary) -> Value {
     Value::Array(vec![
@@ -182,6 +181,29 @@ fn fig2_digest(r: &CharacterizationReport) -> String {
             "variation_ratio_vs_tdc".into(),
             opt_value(r.variation_ratio_vs_tdc),
         ),
+    ]))
+}
+
+/// Every cell of the grid, bit-exact.
+fn grid_digest(g: &AccuracyGrid) -> String {
+    let rows = g
+        .rows
+        .iter()
+        .map(|(sc, cells)| {
+            let mut row = vec![Value::Str(sc.to_string())];
+            row.extend(cells.iter().map(|c| {
+                Value::Array(vec![
+                    Value::Float(c.duration_s),
+                    Value::Float(c.top1),
+                    Value::Float(c.top5),
+                ])
+            }));
+            Value::Array(row)
+        })
+        .collect();
+    digest(&Value::Object(vec![
+        ("rows".into(), Value::Array(rows)),
+        ("n_classes".into(), Value::from(g.n_classes as u64)),
     ]))
 }
 
