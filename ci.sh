@@ -159,6 +159,28 @@ echo "$classify_out" | grep -qx 'digest table3 cdf4cd6d2e2e97d1  campaign a8b550
 }
 echo "    $(echo "$classify_out" | grep '^digest')"
 
+echo "==> perfbench metric-math tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench farm smoke (served mix, every key replayed through exec)"
+# One short run of the farm workload. The run replays every served key
+# through `exec::execute` and byte-compares the results, so a served
+# response that drifts from the direct result fails it, as does any
+# failed request.
+farm_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload farm --seed 401 --seconds 5 --trace 0)" || {
+    echo "ci.sh: perfbench farm exited non-zero" >&2
+    exit 1
+}
+farm_result="$(echo "$farm_out" | tail -n 1)"
+if echo "$farm_result" | grep -q '"correct": false' ||
+    ! echo "$farm_result" | grep -q '"failed": 0,'; then
+    echo "ci.sh: perfbench farm reported failures:" >&2
+    echo "$farm_out" >&2
+    exit 1
+fi
+echo "    $farm_result" | cut -c1-120
+
 echo "==> serve throughput smoke (bench --quick)"
 serve_artifact="crates/bench/BENCH_serve_throughput.quick.json"
 rm -f "$serve_artifact"

@@ -19,6 +19,9 @@ use zynq_soc::{PowerDomain, SimTime};
 
 use crate::{AttackError, Channel, CurrentSampler, Platform, Result};
 
+/// Simulation instant the first level's settle phase starts at.
+const SWEEP_START: SimTime = SimTime::from_ms(40);
+
 /// Parameters of the characterization sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizeConfig {
@@ -58,8 +61,9 @@ impl CharacterizeConfig {
     /// # Errors
     ///
     /// [`AttackError::InvalidParameter`] for fewer than two levels, a zero
-    /// sample count, a non-positive/non-finite sample rate, or a
-    /// zero-duration settle phase.
+    /// sample count, a non-positive/non-finite sample rate, a
+    /// zero-duration settle phase, or a sweep whose last instant overflows
+    /// the u64 nanosecond clock.
     pub fn validate(&self) -> Result<()> {
         if self.levels.len() < 2 {
             return Err(AttackError::InvalidParameter(
@@ -82,7 +86,27 @@ impl CharacterizeConfig {
                 "settle phase must have a non-zero duration".into(),
             ));
         }
+        if self.sweep_end().is_none() {
+            return Err(AttackError::InvalidParameter(
+                "sweep overflows the u64 nanosecond clock".into(),
+            ));
+        }
         Ok(())
+    }
+
+    /// The cursor after the last level, walked as [`run_with`] walks it
+    /// (settle, then one level span, per level), or `None` if any step
+    /// overflows. Every instant the sweep samples lies before it.
+    fn sweep_end(&self) -> Option<SimTime> {
+        let period_s = Some(1.0 / self.sample_rate_hz).filter(|s| s.is_finite())?;
+        let level_span = SimTime::from_secs_f64(period_s)
+            .as_nanos()
+            .checked_mul(u64::try_from(self.samples_per_level).ok()?)?;
+        self.levels.iter().try_fold(SWEEP_START, |cursor, _| {
+            cursor
+                .checked_add(self.settle)?
+                .checked_add(SimTime::from_nanos(level_span))
+        })
     }
 
     /// Content digest of the sweep (parameterized by the platform seed the
@@ -280,7 +304,7 @@ pub fn run_with(
     let period = SimTime::from_secs_f64(1.0 / config.sample_rate_hz);
     let level_span = SimTime::from_nanos(period.as_nanos() * config.samples_per_level as u64);
 
-    let mut cursor = SimTime::from_ms(40);
+    let mut cursor = SWEEP_START;
     let mut rows = Vec::with_capacity(config.levels.len());
     let mut captured = None;
     for &level in &config.levels {
@@ -357,7 +381,7 @@ pub fn run_parallel_checkpointed(
                 .activate_groups(level)
                 .map_err(|e| AttackError::InvalidParameter(e.to_string()))?;
             let sampler = CurrentSampler::unprivileged(&platform);
-            let cursor = SimTime::from_ms(40) + config.settle;
+            let cursor = SWEEP_START + config.settle;
             let captured = CapturedLevel {
                 level,
                 channels: hwmon_summaries(&sampler, config, cursor)?,

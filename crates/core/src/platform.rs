@@ -14,8 +14,7 @@ use std::sync::RwLock;
 use zynq_soc::board::BoardSpec;
 use zynq_soc::cpu::{CpuActivityConfig, CpuBackgroundLoad};
 use zynq_soc::{
-    CompositeLoad, ConstantLoad, OpPointCache, Pdn, PowerDomain, PowerLoad, RailOperatingPoint,
-    SimTime, StaticFabricLoad,
+    CompositeLoad, ConstantLoad, Pdn, PowerDomain, PowerLoad, SimTime, StaticFabricLoad,
 };
 
 use dpu::{DpuAccelerator, DpuConfig};
@@ -27,68 +26,50 @@ use crate::{AttackError, Result};
 struct SocModel {
     loads: RwLock<CompositeLoad>,
     pdn: BTreeMap<PowerDomain, Pdn>,
-    /// Memoized `(domain, t)` operating points, invalidated by the global
-    /// load-control epoch. An INA226 conversion samples the same instant
-    /// for current, voltage and power, and averaging steps are revisited
-    /// whenever captures overlap a conversion window — this cache turns
-    /// those repeats into a lookup instead of a composite-load walk.
-    op_cache: OpPointCache,
+}
+
+/// The electrical operating point of one rail at `t`: the present and
+/// 1 µs-previous current in a single composite-load pass, then the PDN
+/// rail voltage including the transient `L * dI/dt` term. Returns
+/// `(amps, volts)`.
+fn rail_point(loads: &CompositeLoad, pdn: &Pdn, t: SimTime, domain: PowerDomain) -> (f64, f64) {
+    let t_prev = t.saturating_sub(SimTime::from_us(1));
+    let (i_now, i_prev) = loads.current_ma_pair(t, t_prev, domain);
+    (i_now / 1_000.0, pdn.rail_voltage(i_now, i_now - i_prev))
 }
 
 impl SocModel {
-    fn total_current_ma(&self, t: SimTime, domain: PowerDomain) -> f64 {
+    fn loads(&self) -> std::sync::RwLockReadGuard<'_, CompositeLoad> {
         self.loads
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .current_ma(t, domain)
     }
 
-    /// The full electrical operating point of a rail at `t`: present and
-    /// 1 µs-previous current plus the PDN rail voltage (including the
-    /// transient `L * dI/dt` term), computed in a single composite-load
-    /// pass under one read-lock hold. Bit-identical to evaluating
-    /// `total_current_ma` twice and `Pdn::rail_voltage` separately.
-    fn operating_point(&self, t: SimTime, domain: PowerDomain) -> RailOperatingPoint {
-        let epoch = zynq_soc::load_control_epoch();
-        if let Some(point) = self.op_cache.get(domain, t, epoch) {
-            return point;
-        }
-        let t_prev = t.saturating_sub(SimTime::from_us(1));
-        let (i_now, i_prev) = self
-            .loads
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .current_ma_pair(t, t_prev, domain);
+    fn total_current_ma(&self, t: SimTime, domain: PowerDomain) -> f64 {
+        self.loads().current_ma(t, domain)
+    }
+
+    /// `(amps, volts)` of a rail at `t`, under one read-lock hold.
+    fn operating_point(&self, t: SimTime, domain: PowerDomain) -> (f64, f64) {
         // Every PowerDomain key is inserted at construction. sim-lint: allow(panic-path)
-        let point = self.pdn[&domain].operating_point(i_now, i_prev);
-        self.op_cache.insert(domain, t, epoch, point);
-        point
+        rail_point(&self.loads(), &self.pdn[&domain], t, domain)
     }
 
     fn rail_voltage(&self, t: SimTime, domain: PowerDomain) -> f64 {
-        self.operating_point(t, domain).volts
+        self.operating_point(t, domain).1
     }
 
     /// Batched [`operating_point`](Self::operating_point) for a
     /// conversion's averaging steps: one read-lock hold and one PDN
-    /// lookup serve the whole window. Skips the keyed cache — averaging
-    /// instants are effectively never revisited — but each element is
-    /// bit-identical to the per-instant path.
+    /// lookup serve the whole window, and each element is bit-identical
+    /// to the per-instant path.
     fn operating_points(&self, times: &[SimTime], domain: PowerDomain) -> Vec<(f64, f64)> {
         // Every PowerDomain key is inserted at construction. sim-lint: allow(panic-path)
         let pdn = &self.pdn[&domain];
-        let loads = self
-            .loads
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let loads = self.loads();
         times
             .iter()
-            .map(|&t| {
-                let t_prev = t.saturating_sub(SimTime::from_us(1));
-                let (i_now, i_prev) = loads.current_ma_pair(t, t_prev, domain);
-                let point = pdn.operating_point(i_now, i_prev);
-                (point.amps(), point.volts)
-            })
+            .map(|&t| rail_point(&loads, pdn, t, domain))
             .collect()
     }
 }
@@ -102,8 +83,7 @@ struct DomainProbe {
 
 impl RailProbe for DomainProbe {
     fn operating_point(&self, t: SimTime) -> (f64, f64) {
-        let point = self.soc.operating_point(t, self.domain);
-        (point.amps(), point.volts)
+        self.soc.operating_point(t, self.domain)
     }
 
     fn operating_points(&self, times: &[SimTime]) -> Vec<(f64, f64)> {
@@ -189,7 +169,6 @@ impl Platform {
         let soc = Arc::new(SocModel {
             loads: RwLock::new(loads),
             pdn,
-            op_cache: OpPointCache::new(),
         });
 
         // Register the four sensitive sensors of Table II. Shunt values
@@ -318,7 +297,6 @@ impl Platform {
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push(load);
-        zynq_soc::invalidate_load_caches();
     }
 
     /// Deploys the 160k-instance power-virus array (Figure 2 victim).
@@ -796,9 +774,9 @@ mod tests {
 
     #[test]
     fn operating_point_cache_preserves_ground_truth() {
-        // Same seed, two platforms: one reads the voltage twice (second
-        // read is a cache hit), the other once. All observations must be
-        // bit-identical — the cache may never change the physics.
+        // Same seed, two platforms: one reads the voltage twice, the
+        // other once. All observations must be bit-identical — ground
+        // truth is a pure function of the control state.
         let t = SimTime::from_ms(41);
         let mut a = Platform::zcu102(22);
         let va = a.deploy_virus(VirusConfig::default()).unwrap();
@@ -813,8 +791,8 @@ mod tests {
         let fresh = b.ground_truth_volts(PowerDomain::FpgaLogic, t);
         assert_eq!(first.to_bits(), fresh.to_bits());
 
-        // A control change must invalidate: activating more groups moves
-        // the cached instant's value.
+        // A control change is seen at once: activating more groups moves
+        // the value at the instant already read.
         va.activate_groups(160).unwrap();
         let after = a.ground_truth_volts(PowerDomain::FpgaLogic, t);
         assert_ne!(first.to_bits(), after.to_bits());

@@ -239,7 +239,6 @@ impl RsaCircuit {
     /// register).
     pub fn set_running(&self, running: bool) {
         self.running.store(running, Ordering::Release);
-        zynq_soc::invalidate_load_caches();
     }
 
     /// Whether the encryption loop is running.

@@ -353,15 +353,9 @@ mod tests {
 
     /// FNV-1a over every node of every tree, in tree order.
     fn structure_digest(forest: &RandomForest) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for tree in &forest.trees {
-            for word in tree.structure_words() {
-                for byte in word.to_le_bytes() {
-                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-        h
+        let words = forest.trees.iter().flat_map(|tree| tree.structure_words());
+        let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+        sim_rt::rng::fnv1a64(&bytes)
     }
 
     /// Recorded before the split search was rewritten: any change to a

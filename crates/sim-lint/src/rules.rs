@@ -139,8 +139,7 @@ impl Config {
     /// The `panic-path` zones are the request-handling layer and the
     /// library hot paths a farm request rides through: the sim-serve
     /// sources, the result store, the sampler capture loop, the hwmon
-    /// device read path, the operating-point cache, and the platform's
-    /// rail solve.
+    /// device read path, and the platform's rail solve.
     pub fn workspace_default() -> Config {
         Config {
             allow: vec![
@@ -158,7 +157,6 @@ impl Config {
                 "core/src/sampler.rs",
                 "core/src/platform.rs",
                 "hwmon-sim/src/device.rs",
-                "zynq-soc/src/oppoint.rs",
             ],
         }
     }

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use sim_rt::rng::derive_seed;
+use sim_rt::rng::{derive_seed, fnv1a64};
 use sim_rt::ser::{Record, ToRecord, Value};
 
 use crate::flight;
@@ -43,17 +43,6 @@ use crate::flight;
 /// Hard cap on the in-memory span log; spans beyond it are counted in
 /// `trace.log.dropped` instead of growing without bound.
 const LOG_CAP: usize = 65_536;
-
-/// FNV-1a 64-bit hash of a byte string — the tenant-name mixer feeding
-/// [`TraceContext::root`]. Stable across platforms and runs.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The identity of one span within one trace, carried by value through
 /// queues and across pool workers.
@@ -482,6 +471,15 @@ mod tests {
         assert_eq!(c0.parent, Some(a.span_id));
         assert_ne!(c0.span_id, c1.span_id);
         assert_eq!(c0, a.child(0), "child derivation is pure");
+    }
+
+    #[test]
+    fn root_ids_match_recorded_literals() {
+        // Recorded before the tenant hash moved into sim-rt: trace ids are
+        // part of the byte-identical structural export.
+        let ctx = TraceContext::root("tenant-a", 7, 3);
+        assert_eq!(ctx.trace_id, 0x59e7_f7d5_d23d_f127);
+        assert_eq!(ctx.span_id, 0xd29a_d463_bc8c_829c);
     }
 
     #[test]

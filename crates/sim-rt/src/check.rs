@@ -47,16 +47,11 @@ pub fn cases(requested: usize) -> usize {
 /// Deterministic per-test seed: FNV-1a over the test name, xored with the
 /// optional `SIM_RT_CHECK_SEED` env override for exploring new corners.
 pub fn seed_from_name(name: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in name.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
     let offset = std::env::var("SIM_RT_CHECK_SEED")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0);
-    hash ^ offset
+    crate::rng::fnv1a64(name.as_bytes()) ^ offset
 }
 
 /// A source of random values for one property argument.

@@ -62,5 +62,5 @@ pub mod ser;
 pub use json::parse as parse_json;
 pub use lockorder::TrackedMutex;
 pub use pool::Pool;
-pub use rng::{derive_seed, Rng, SimRng, SliceShuffle};
+pub use rng::{derive_seed, fnv1a64, Rng, SimRng, SliceShuffle};
 pub use ser::{to_csv, to_jsonl, Record, ToRecord, Value};

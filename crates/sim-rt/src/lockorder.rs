@@ -1,7 +1,7 @@
 //! Debug-build lock-order watchdog.
 //!
 //! The sampling fast path holds several mutexes in a fixed nested order
-//! (hwmon clock → sensor → operating-point cache); nothing in the type
+//! (hwmon clock → sensor); nothing in the type
 //! system stops a future change from taking them the other way round and
 //! deadlocking under load. [`TrackedMutex`] is a drop-in `Mutex` wrapper
 //! that, in debug builds, records every *acquired-while-holding* pair in a

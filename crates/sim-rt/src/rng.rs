@@ -40,6 +40,26 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     a ^ b.rotate_left(32)
 }
 
+/// FNV-1a 64-bit hash of a byte string — the one name-to-`u64` mixer
+/// shared by test seeds, trace roots and defense-layer streams. Stable
+/// across platforms and runs.
+///
+/// # Examples
+///
+/// ```
+/// use sim_rt::rng::fnv1a64;
+///
+/// // The standard FNV-1a-64 test vectors.
+/// assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+/// ```
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Minimal random-source trait: everything derives from `next_u64`.
 pub trait Rng {
     /// The next 64 uniformly random bits.

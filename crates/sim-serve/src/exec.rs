@@ -280,7 +280,14 @@ fn characterize_config(config: &Value) -> Result<CharacterizeConfig, ExecError> 
             "levels" => cfg.levels = need_u32_array(key, v)?,
             "samples_per_level" => cfg.samples_per_level = need_usize(key, v)?,
             "sample_rate_hz" => cfg.sample_rate_hz = need_f64(key, v)?,
-            "settle_ms" => cfg.settle = SimTime::from_ms(need_usize(key, v)? as u64),
+            "settle_ms" => {
+                let ns = (need_usize(key, v)? as u64)
+                    .checked_mul(1_000_000)
+                    .ok_or_else(|| {
+                        ExecError::bad_config("`settle_ms` overflows the u64 nanosecond clock")
+                    })?;
+                cfg.settle = SimTime::from_nanos(ns);
+            }
             _ => return Err(unknown_key("characterize", key)),
         }
     }
@@ -525,6 +532,24 @@ mod tests {
             execute("ping", 1, &Value::Array(vec![])).unwrap_err().kind,
             "bad_config"
         );
+    }
+
+    #[test]
+    fn characterize_clock_overflows_are_typed_errors() {
+        let kind = |key: &str, v: Value| {
+            let levels = Value::Array(vec![Value::Int(0), Value::Int(1)]);
+            let cfg = Value::Object(vec![("levels".into(), levels), (key.into(), v)]);
+            execute("characterize", 5, &cfg).unwrap_err().kind
+        };
+        let tiny_rate = kind("sample_rate_hz", Value::Float(1e-12));
+        assert_eq!(tiny_rate, "invalid_parameter");
+        let huge_count = kind("samples_per_level", Value::Int(i64::MAX));
+        assert_eq!(huge_count, "invalid_parameter");
+        // Past u64 nanoseconds on its own: rejected while parsing.
+        assert_eq!(kind("settle_ms", Value::Int(i64::MAX)), "bad_config");
+        // Fits the clock alone, but two settles do not.
+        let two_settles = kind("settle_ms", Value::Int(10_000_000_000_000));
+        assert_eq!(two_settles, "invalid_parameter");
     }
 
     #[test]

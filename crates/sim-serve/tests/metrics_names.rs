@@ -74,8 +74,6 @@ const PINNED_METRICS: &[&str] = &[
     "serve.stats.requests",
     "serve.timeouts",
     "serve.tx_errors",
-    "soc.oppoint.cache_hit",
-    "soc.oppoint.cache_miss",
     "store.bytes",
     "store.checkpoint.points",
     "store.checkpoint.resumed",

@@ -9,6 +9,7 @@ use amperebleed::fingerprint::{self, FingerprintConfig};
 use amperebleed::rsa_attack::{self, RsaAttackConfig};
 use amperebleed::{covert, AttackError, Platform};
 use fpga_fabric::covert::CovertConfig;
+use fpga_fabric::ring_oscillator::RoConfig;
 use fpga_fabric::virus::VirusConfig;
 use sim_rt::pool::Pool;
 use zynq_soc::SimTime;
@@ -56,6 +57,51 @@ fn characterize_rejects_out_of_range_sample_rates() {
         };
         assert_invalid(characterize::run(&p, &cfg), &format!("rate {rate}"));
     }
+}
+
+#[test]
+fn characterize_rejects_sweeps_that_overflow_the_clock() {
+    // Two levels on a platform with the virus and an RO bank, so every
+    // capture path of the sweep (hwmon and fabric baseline) is reachable.
+    let mut p = ready_platform(404);
+    p.deploy_ro_bank(RoConfig::default()).unwrap();
+    let with = |edit: fn(&mut CharacterizeConfig)| {
+        let mut cfg = CharacterizeConfig {
+            levels: vec![0, 1],
+            samples_per_level: 4,
+            ..CharacterizeConfig::quick()
+        };
+        edit(&mut cfg);
+        cfg
+    };
+    let cases = [
+        ("1e12 s period", with(|c| c.sample_rate_hz = 1e-12)),
+        ("infinite period", with(|c| c.sample_rate_hz = 5e-324)),
+        (
+            "usize::MAX samples",
+            with(|c| c.samples_per_level = usize::MAX),
+        ),
+        (
+            "u64::MAX / 2 settle",
+            with(|c| c.settle = SimTime::from_nanos(u64::MAX / 2)),
+        ),
+    ];
+    for (what, cfg) in cases {
+        assert_invalid(characterize::run(&p, &cfg), what);
+        let factory = |_level: u32| Ok(ready_platform(404));
+        assert_invalid(
+            characterize::run_parallel(factory, &cfg, &Pool::serial()),
+            what,
+        );
+    }
+    // The walk from the 40 ms start through two settles and two 4 ms
+    // level spans ends one nanosecond below u64::MAX: that still fits.
+    let edge = (u64::MAX - 40_000_000 - 2 * 4_000_000) / 2;
+    let mut cfg = with(|_| {});
+    cfg.settle = SimTime::from_nanos(edge);
+    assert!(cfg.validate().is_ok());
+    cfg.settle = SimTime::from_nanos(edge + 1);
+    assert_invalid(cfg.validate(), "one nanosecond past the clock");
 }
 
 #[test]

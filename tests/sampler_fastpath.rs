@@ -1,9 +1,9 @@
 //! Correctness pins for the zero-allocation sampling fast path.
 //!
-//! The operating-point cache, the latched-conversion memoization, the
-//! typed hwmon read path and the batched three-channel capture are all
-//! pure performance work: none of them may move a single bit of any
-//! trace. These tests pin that contract three ways:
+//! The latched-conversion memoization, the typed hwmon read path and the
+//! batched three-channel capture are all pure performance work: none of
+//! them may move a single bit of any trace. These tests pin that contract
+//! three ways:
 //!
 //! * **Golden bits** — traces captured before the fast path existed,
 //!   hard-coded as raw `f64` bit patterns. The rewritten stack must
@@ -16,6 +16,8 @@
 //!   runtime pool are byte-identical at 1, 2 and 8 workers.
 
 use amperebleed::{Channel, CurrentSampler, Platform};
+use fpga_fabric::ring_oscillator::RoConfig;
+use fpga_fabric::tdc::TdcConfig;
 use fpga_fabric::virus::VirusConfig;
 use hwmon_sim::Privilege;
 use sim_rt::Pool;
@@ -121,6 +123,60 @@ fn golden_quiet_ddr_trace_is_bit_exact() {
     assert_eq!(bits, GOLDEN_DDR_QUIET_8);
 }
 
+/// Ground-truth instants for the rail-solve pins below.
+const TRUTH_INSTANTS_NS: [u64; 3] = [0, 40_000_000, 123_456_789];
+
+/// `(ground_truth_volts, ground_truth_ma)` bits on zcu102(42) + virus at
+/// 80 groups, for each domain in `PowerDomain::ALL` order at each of
+/// `TRUTH_INSTANTS_NS`. Recorded from the memoized rail solve.
+const GOLDEN_TRUTH: [(u64, u64); 12] = [
+    (0x3fec68d864c7995b, 0x4074000000000000),
+    (0x3fec6775f9987657, 0x407c200000000000),
+    (0x3fec68d864c7995b, 0x4074000000000000),
+    (0x3fec66101bc442c4, 0x405c33f74c155fcd),
+    (0x3fec6612d89933f6, 0x405bf6f4cfd6064f),
+    (0x3fec6612c0d5012d, 0x405bda49143783b2),
+    (0x3feb750e368cef4a, 0x40afeefedcca0c29),
+    (0x3feb750e7d8c14c4, 0x40afef34fdbe7e7f),
+    (0x3feb750dfcafb54f, 0x40afef3c2d7805c4),
+    (0x3ff384e4ad64fc71, 0x4061800000000000),
+    (0x3ff384e4ad64fc71, 0x4061800000000000),
+    (0x3ff384e4ad64fc71, 0x4061800000000000),
+];
+
+/// `(sample_ro bits, sample_tdc code)` at each of `TRUTH_INSTANTS_NS`, RO
+/// then TDC, on zcu102(31) + virus at 120 groups + default RO bank and
+/// TDC. Recorded alongside `GOLDEN_TRUTH`.
+const GOLDEN_RO_TDC: [(u64, u32); 3] = [
+    (0x4069390000000000, 203),
+    (0x40692f0000000000, 203),
+    (0x4069350000000000, 202),
+];
+
+#[test]
+fn golden_ground_truth_is_bit_exact() {
+    let p = virus_platform(42, 80);
+    let instants = PowerDomain::ALL
+        .into_iter()
+        .flat_map(|d| TRUTH_INSTANTS_NS.map(|ns| (d, SimTime::from_nanos(ns))));
+    for ((d, t), golden) in instants.zip(GOLDEN_TRUTH) {
+        let got = (p.ground_truth_volts(d, t), p.ground_truth_ma(d, t));
+        assert_eq!((got.0.to_bits(), got.1.to_bits()), golden, "{d:?} at {t}");
+    }
+}
+
+#[test]
+fn golden_ro_and_tdc_samples_are_bit_exact() {
+    let mut p = virus_platform(31, 120);
+    p.deploy_ro_bank(RoConfig::default()).unwrap();
+    p.deploy_tdc(TdcConfig::default()).unwrap();
+    for (ns, golden) in TRUTH_INSTANTS_NS.into_iter().zip(GOLDEN_RO_TDC) {
+        let t = SimTime::from_nanos(ns);
+        let got = (p.sample_ro(t).unwrap().to_bits(), p.sample_tdc(t).unwrap());
+        assert_eq!(got, golden, "at {t}");
+    }
+}
+
 #[test]
 fn legacy_string_api_still_matches_goldens() {
     // The string API is now a wrapper over the typed path; prove the
@@ -210,9 +266,9 @@ sim_rt::prop_check! {
         }
     }
 
-    /// The operating-point cache may never change the physics: ground
-    /// truth after a sequence of cached reads and control changes equals
-    /// ground truth computed fresh on an identically seeded platform.
+    /// Ground truth is a pure function of the control state: repeated
+    /// reads agree, and after a control change it equals ground truth
+    /// computed fresh on an identically seeded platform.
     fn op_cache_never_changes_ground_truth(
         ns in 1_000_000u64..1_000_000_000u64,
         g1 in 0u32..161,
@@ -223,7 +279,7 @@ sim_rt::prop_check! {
         let domain = PowerDomain::ALL[domain_idx];
 
         let a = virus_platform(42, g1);
-        // Populate the cache at g1, then change control state.
+        // Read twice at g1, then change control state.
         let warm = a.ground_truth_volts(domain, t);
         assert_eq!(warm.to_bits(), a.ground_truth_volts(domain, t).to_bits());
         a.virus().unwrap().activate_groups(g2).unwrap();
