@@ -81,6 +81,11 @@ fi
 echo "==> cargo test"
 cargo test --offline --workspace -q
 
+echo "==> cargo test --release (sim-rt: release-only code paths)"
+# The lock-order watchdog compiles to a passthrough in release builds;
+# its tests check that passthrough only when built this way.
+cargo test --release --offline -p sim-rt -q
+
 echo "==> cargo doc (sim-obs)"
 cargo doc --offline --no-deps -p sim-obs
 

@@ -110,7 +110,7 @@ impl CharacterizeConfig {
     }
 
     /// Content digest of the sweep (parameterized by the platform seed the
-    /// caller's factory uses), addressing its checkpoint file.
+    /// caller's factory uses), addressing its checkpoint points.
     pub fn sweep_key(&self, seed: u64) -> Digest {
         let content = Value::Object(vec![
             (
@@ -347,14 +347,15 @@ pub fn run_parallel(
     config: &CharacterizeConfig,
     pool: &Pool,
 ) -> Result<CharacterizationReport> {
-    run_parallel_checkpointed(factory, config, pool, &Checkpoint::in_memory())
+    run_parallel_checkpointed(factory, config, pool, None)
 }
 
 /// [`run_parallel`] persisting every finished level row to `ckpt` as it
 /// lands, indexed by the level's position in `config.levels`. A sweep
 /// interrupted mid-flight resumes by rerunning with the same checkpoint:
 /// persisted rows are decoded instead of re-measured, and the resumed
-/// report is byte-identical to an uninterrupted run.
+/// report is byte-identical to an uninterrupted run. `None` persists
+/// nothing (that is all [`run_parallel`] does).
 ///
 /// # Errors
 ///
@@ -364,13 +365,14 @@ pub fn run_parallel_checkpointed(
     factory: impl Fn(u32) -> Result<Platform> + Sync,
     config: &CharacterizeConfig,
     pool: &Pool,
-    ckpt: &Checkpoint,
+    ckpt: Option<&Checkpoint>,
 ) -> Result<CharacterizationReport> {
     let _trace = obs::trace::span("core.characterize", "sweep");
     config.validate()?;
     let rows = pool
         .par_map(&config.levels, |i, &level| -> Result<LevelRow> {
-            if let Some(row) = ckpt.get(i as u64).as_deref().and_then(LevelRow::from_json) {
+            let stored = ckpt.and_then(|c| c.get(i as u64));
+            if let Some(row) = stored.as_deref().and_then(LevelRow::from_json) {
                 return Ok(row);
             }
             let platform = factory(level)?;
@@ -388,7 +390,9 @@ pub fn run_parallel_checkpointed(
                 rail_volts: baseline_rail_volts(&platform, config, cursor),
             };
             let row = baseline_row(&platform, &captured)?;
-            ckpt.put(i as u64, &row.to_value().to_json());
+            if let Some(ckpt) = ckpt {
+                ckpt.put(i as u64, &row.to_value().to_json());
+            }
             Ok(row)
         })
         .into_iter()

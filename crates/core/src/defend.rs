@@ -186,7 +186,7 @@ impl DefendConfig {
             .join("+")
     }
 
-    /// Content digest of the whole sweep, addressing its checkpoint file:
+    /// Content digest of the whole sweep, addressing its checkpoint points:
     /// two sweeps share persisted points exactly when every
     /// result-affecting parameter matches.
     pub fn sweep_key(&self) -> Digest {
@@ -381,7 +381,7 @@ pub fn run(config: &DefendConfig) -> Result<DefendReport> {
 ///
 /// Propagates configuration and attack failures.
 pub fn run_with(config: &DefendConfig, pool: &Pool) -> Result<DefendReport> {
-    run_checkpointed(config, pool, &Checkpoint::in_memory())
+    run_checkpointed(config, pool, None)
 }
 
 /// [`run_with`] persisting every finished point to `ckpt` as it lands:
@@ -391,8 +391,7 @@ pub fn run_with(config: &DefendConfig, pool: &Pool) -> Result<DefendReport> {
 /// recomputed, and the resumed report is byte-identical to an
 /// uninterrupted run (the codec round-trips `f64` bit-exactly).
 ///
-/// Pass [`Checkpoint::in_memory`] to opt out of persistence (that is all
-/// [`run_with`] does).
+/// `None` persists nothing (that is all [`run_with`] does).
 ///
 /// # Errors
 ///
@@ -401,7 +400,7 @@ pub fn run_with(config: &DefendConfig, pool: &Pool) -> Result<DefendReport> {
 pub fn run_checkpointed(
     config: &DefendConfig,
     pool: &Pool,
-    ckpt: &Checkpoint,
+    ckpt: Option<&Checkpoint>,
 ) -> Result<DefendReport> {
     config.validate()?;
     obs::counter!("defend.sweeps").inc();
@@ -409,8 +408,7 @@ pub fn run_checkpointed(
         "core.defend",
         "defend sweep started";
         "attack" => config.attack.tag(),
-        "points" => config.strengths.len() as u64,
-        "resumable" => ckpt.len() as u64
+        "points" => config.strengths.len() as u64
     );
     let baseline = checkpointed_point(ckpt, 0, || attack_point(config, None, pool))?;
     let indices: Vec<usize> = (0..config.strengths.len()).collect();
@@ -445,10 +443,13 @@ pub fn run_checkpointed(
 /// Serves point `index` from `ckpt` when a decodable record exists,
 /// otherwise computes it via `compute` and persists the result.
 fn checkpointed_point(
-    ckpt: &Checkpoint,
+    ckpt: Option<&Checkpoint>,
     index: u64,
     compute: impl FnOnce() -> Result<DefendPoint>,
 ) -> Result<DefendPoint> {
+    let Some(ckpt) = ckpt else {
+        return compute();
+    };
     if let Some(point) = ckpt.get(index).as_deref().and_then(DefendPoint::from_json) {
         return Ok(point);
     }

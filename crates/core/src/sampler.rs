@@ -65,7 +65,13 @@ impl<'a> CurrentSampler<'a> {
                 "sample count must be non-zero".into(),
             ));
         }
-        let period = SimTime::from_secs_f64(1.0 / rate_hz);
+        let period_s = 1.0 / rate_hz;
+        if !period_s.is_finite() {
+            return Err(AttackError::InvalidParameter(
+                "sampling period 1 / rate must be finite".into(),
+            ));
+        }
+        let period = SimTime::from_secs_f64(period_s);
         period
             .as_nanos()
             .checked_mul(count as u64 - 1)
@@ -111,7 +117,8 @@ impl<'a> CurrentSampler<'a> {
     ///
     /// # Errors
     ///
-    /// * [`AttackError::InvalidParameter`] if `rate_hz` is not positive or
+    /// * [`AttackError::InvalidParameter`] if `rate_hz` is not positive,
+    ///   its period `1 / rate_hz` is not finite (a subnormal rate), or
     ///   `count` is zero.
     /// * [`AttackError::Hwmon`] on sysfs failures.
     pub fn capture(
@@ -311,6 +318,11 @@ mod tests {
         ));
         assert!(matches!(
             s.capture(PowerDomain::Ddr, Channel::Current, SimTime::ZERO, 100.0, 0),
+            Err(AttackError::InvalidParameter(_))
+        ));
+        // A subnormal rate is positive, but 1 / rate is infinite.
+        assert!(matches!(
+            s.capture(PowerDomain::Ddr, Channel::Current, SimTime::ZERO, 1e-310, 1),
             Err(AttackError::InvalidParameter(_))
         ));
     }

@@ -318,10 +318,6 @@ fn sim_store_sources_pass_every_rule() {
             "crates/sim-store/src/segment.rs",
             include_str!("../../sim-store/src/segment.rs"),
         ),
-        (
-            "crates/sim-store/src/checkpoint.rs",
-            include_str!("../../sim-store/src/checkpoint.rs"),
-        ),
     ] {
         let r = lint_source(path, src, &cfg);
         assert!(r.diags.is_empty(), "{path}: {:?}", r.diags);

@@ -288,7 +288,14 @@ mod tests {
             let _i = inner.lock();
         }
         assert_eq!(cycles_detected(), before);
+        #[cfg(debug_assertions)]
         assert!(acquisitions() >= 6);
+        // Release builds are a passthrough: nothing is counted.
+        #[cfg(not(debug_assertions))]
+        assert_eq!(
+            (acquisitions(), edges_tracked(), cycles_detected()),
+            (0, 0, 0)
+        );
     }
 
     #[test]

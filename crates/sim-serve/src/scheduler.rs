@@ -9,11 +9,12 @@
 //!
 //! Admitted jobs wait in the bounded queue until the single dispatcher
 //! thread drains a batch, drops expired deadlines (`timeout`), groups the
-//! rest by `(verb, seed, config)` — identical capture jobs share one
-//! board lock-hold and one execution — and fans the groups out across
-//! the farm on the [`sim_rt::pool::Pool`]. Results are duplicated to
-//! every request of a group, which is safe precisely because execution
-//! is a pure function of the group key (see `exec`).
+//! rest by their [`Store::key`] over `(verb, seed, canonical config)` —
+//! identical capture jobs share one board lock-hold and one execution —
+//! and fans the groups out across the farm on the
+//! [`sim_rt::pool::Pool`]. Results are duplicated to every request of a
+//! group, which is safe precisely because execution is a pure function
+//! of the group key (see `exec`).
 //!
 //! Shutdown (`shutdown` verb or [`Scheduler::begin_drain`]) flips the
 //! farm into draining: new work is shed as `shutting_down`, everything
@@ -26,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use sim_rt::pool::Pool;
 use sim_rt::ser::Value;
-use sim_store::Store;
+use sim_store::{Digest, Store};
 
 use crate::exec::{self, ExecError};
 use crate::farm::Farm;
@@ -68,6 +69,9 @@ struct Job {
     /// Effective seed, resolved at admission (pinned or farm default) so
     /// the result cannot depend on board placement.
     seed: u64,
+    /// `Store::key(verb, seed, config)`, computed once at admission: the
+    /// batching key and the store address of the result.
+    key: Digest,
     /// Root trace context, minted at admission from
     /// `(tenant, seed, per-tenant request counter)` — deterministic, so
     /// replaying a request stream reproduces every trace id.
@@ -220,11 +224,13 @@ impl Scheduler {
         }
 
         let seed = req.seed.unwrap_or_else(|| self.farm.default_seed());
+        let t0 = obs::clock::monotonic_ns();
+        let key = Store::key(&req.verb, seed, &req.config);
         // Content-addressed short-circuit: a stored result answers on
         // the connection thread, before the admission gates — replayed
         // campaigns must not spend tokens, quota, queue slots, or
         // boards on work the store already holds.
-        if let Some(resp) = self.store_lookup(&req, seed) {
+        if let Some(resp) = self.store_lookup(&req, seed, &key, t0) {
             self.respond_unserved(sink, resp);
             return;
         }
@@ -267,8 +273,11 @@ impl Scheduler {
 
         let job = Job {
             seed,
+            key,
             ctx,
-            deadline_ns: req.deadline_ms.map(|ms| now + ms.saturating_mul(1_000_000)),
+            deadline_ns: req
+                .deadline_ms
+                .map(|ms| now.saturating_add(ms.saturating_mul(1_000_000))),
             admitted_ns: now,
             sink,
             req,
@@ -380,19 +389,14 @@ impl Scheduler {
             return;
         }
 
-        // Batch compatible jobs: one execution per distinct
-        // (verb, seed, config) key, results fanned out to every taker.
-        let mut groups: Vec<(String, Vec<Job>)> = Vec::new();
+        // Batch compatible jobs: one execution per distinct store key,
+        // results fanned out to every taker. Groups keep first-appearance
+        // order, which board assignment follows.
+        let mut groups: Vec<(Digest, Vec<Job>)> = Vec::new();
         for job in live {
-            let key = format!(
-                "{}\u{1f}{}\u{1f}{}",
-                job.req.verb,
-                job.seed,
-                job.req.config.to_json()
-            );
-            match groups.iter_mut().find(|(k, _)| *k == key) {
+            match groups.iter_mut().find(|(k, _)| *k == job.key) {
                 Some((_, jobs)) => jobs.push(job),
-                None => groups.push((key, vec![job])),
+                None => groups.push((job.key, vec![job])),
             }
         }
         let jobs_total: usize = groups.iter().map(|(_, jobs)| jobs.len()).sum();
@@ -475,8 +479,7 @@ impl Scheduler {
             // Feed the store while still inside the group's trace scope
             // so the `store/insert` span lands in this request's tree.
             if let (Some(store), Ok(value)) = (self.store.as_deref(), &result) {
-                let key = Store::key(verb, job.seed, &job.req.config);
-                store.insert(&key, verb, job.seed, &value.to_json());
+                store.insert(&job.key, verb, job.seed, &value.to_json());
             }
             (id, result)
         })
@@ -488,12 +491,11 @@ impl Scheduler {
     /// response is marked `cached: true` — delivery metadata, like
     /// `board`; the `result` bytes are identical to a fresh execution
     /// under the determinism contract, which is what makes serving from
-    /// the store sound at all.
-    fn store_lookup(&self, req: &Request, seed: u64) -> Option<Response> {
+    /// the store sound at all. `t0` was taken before `key` was computed,
+    /// so the lookup latency and the `store_hit` span cover the keying.
+    fn store_lookup(&self, req: &Request, seed: u64, key: &Digest, t0: u64) -> Option<Response> {
         let store = self.store.as_deref()?;
-        let t0 = obs::clock::monotonic_ns();
-        let key = Store::key(&req.verb, seed, &req.config);
-        let hit = store.get(&key);
+        let hit = store.get(key);
         obs::histogram!("store.lookup.ns").observe(obs::clock::monotonic_ns().saturating_sub(t0));
         let json = hit?;
         let value = match sim_rt::json::parse(&json) {
@@ -912,7 +914,11 @@ mod tests {
         let mut doomed = ping(1);
         doomed.deadline_ms = Some(0);
         s.submit(doomed, Arc::clone(&sink));
-        s.submit(ping(2), Arc::clone(&sink));
+        // The largest deadline the protocol accepts saturates the clock
+        // instead of overflowing it.
+        let mut patient = ping(2);
+        patient.deadline_ms = Some(i64::MAX as u64);
+        s.submit(patient, Arc::clone(&sink));
         s.submit(Request::new(3, "shutdown"), Arc::clone(&sink));
         s.dispatch_loop();
         let seen = seen.lock().unwrap();
@@ -980,7 +986,15 @@ mod tests {
 
     #[test]
     fn identical_requests_batch_onto_one_execution() {
-        let s = sched(SchedConfig::default());
+        // A store counts one insert per executed group, so it tells
+        // this scheduler's executions apart from other tests'.
+        let store = Arc::new(Store::in_memory());
+        let s = Scheduler::with_store(
+            SchedConfig::default(),
+            Farm::new(5, 1),
+            Pool::serial(),
+            Some(Arc::clone(&store)),
+        );
         let before = obs::metrics::counter("serve.batch.deduped".to_string()).get();
         let (sink, seen) = collect_sink();
         for id in 0..3 {
@@ -988,14 +1002,34 @@ mod tests {
             req.seed = Some(77);
             s.submit(req, Arc::clone(&sink));
         }
+        // The same config with its fields in another order.
+        let fields = [
+            ("payload".to_string(), Value::Str("ab".into())),
+            ("jitter".to_string(), Value::Float(0.0)),
+        ];
+        for (id, config) in [
+            (3, fields.to_vec()),
+            (4, fields.iter().rev().cloned().collect()),
+        ] {
+            let mut req = Request::new(id, "covert");
+            req.seed = Some(77);
+            req.config = Value::Object(config);
+            s.submit(req, Arc::clone(&sink));
+        }
         s.begin_drain();
         s.dispatch_loop();
         let seen = seen.lock().unwrap();
-        assert_eq!(seen.iter().filter(|r| r.is_ok()).count(), 3);
+        assert_eq!(seen.iter().filter(|r| r.is_ok()).count(), 5);
         let after = obs::metrics::counter("serve.batch.deduped".to_string()).get();
         assert!(
-            after >= before + 2,
-            "three identical jobs dedup to one execution"
+            after >= before + 3,
+            "five jobs over two store keys dedup to two executions"
         );
+        assert_eq!(store.stats().inserts, 2, "one execution per store key");
+        let result = |id: i64| {
+            let resp = seen.iter().find(|r| r.id == id).unwrap();
+            resp.result.as_ref().unwrap().to_json()
+        };
+        assert_eq!(result(3), result(4));
     }
 }

@@ -7,9 +7,10 @@
 //! end-to-end: results are addressed by a 256-bit [`Digest`] over a
 //! canonical preimage of the request triple, kept in a bounded sharded
 //! in-memory hot tier ([`hot::HotTier`]) backed by CRC-framed JSONL
-//! segment files ([`segment::Persist`]), and long multi-point sweeps
-//! persist per-point progress through [`Checkpoint`] so a drain resumes
-//! instead of restarting.
+//! segment files ([`segment::Persist`]). Long multi-point sweeps persist
+//! per-point progress as ordinary records of the same store, through the
+//! [`Checkpoint`] view, so a drain resumes instead of restarting and one
+//! scan-and-truncate path recovers both.
 //!
 //! Canonicalization matters: the digest preimage uses
 //! [`sim_rt::ser::Value::to_canonical_json`] (sorted keys, `-0.0`
@@ -35,7 +36,6 @@
 //! assert_eq!(store.get(&key).as_deref(), Some("{\"top1\":0.99}"));
 //! ```
 
-pub mod checkpoint;
 pub mod digest;
 pub mod hot;
 pub mod segment;
@@ -46,7 +46,6 @@ use std::sync::{Arc, Mutex};
 
 use sim_rt::ser::Value;
 
-pub use checkpoint::Checkpoint;
 pub use digest::Digest;
 use hot::HotTier;
 use segment::Persist;
@@ -333,6 +332,45 @@ impl Store {
     fn publish_occupancy(&self) {
         obs::gauge!("store.entries").set(self.hot.entries() as f64);
         obs::gauge!("store.bytes").set(self.hot.bytes() as f64);
+    }
+}
+
+/// A sweep's per-point progress, held as ordinary records of a [`Store`]:
+/// point `index` of the sweep addressed by `sweep` lives at
+/// `Store::key("sweep-point", index, sweep-hex)`. Points are
+/// *index-addressed*, so the order they land in (which follows worker
+/// scheduling) never influences what a resume reads back. A torn or
+/// evicted point is simply recomputed.
+#[derive(Debug, Clone, Copy)]
+pub struct Checkpoint<'s> {
+    /// The store the points live in.
+    pub store: &'s Store,
+    /// Content digest of the sweep the points belong to.
+    pub sweep: Digest,
+}
+
+impl Checkpoint<'_> {
+    fn point_key(&self, index: u64) -> Digest {
+        Store::key("sweep-point", index, &Value::Str(self.sweep.hex()))
+    }
+
+    /// The result JSON stored for point `index`, if any. A hit counts
+    /// toward `store.checkpoint.resumed`: it is work a resume skipped.
+    pub fn get(&self, index: u64) -> Option<Arc<str>> {
+        let hit = self.store.get(&self.point_key(index));
+        if hit.is_some() {
+            obs::counter!("store.checkpoint.resumed").inc();
+        }
+        hit
+    }
+
+    /// Stores point `index`. Safe to call from pool workers. Write
+    /// failures are absorbed like any [`Store::insert`]: losing a point
+    /// only costs recomputation.
+    pub fn put(&self, index: u64, result: &str) {
+        self.store
+            .insert(&self.point_key(index), "sweep-point", index, result);
+        obs::counter!("store.checkpoint.points").inc();
     }
 }
 
