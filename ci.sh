@@ -86,6 +86,11 @@ echo "==> cargo test --release (sim-rt: release-only code paths)"
 # its tests check that passthrough only when built this way.
 cargo test --release --offline -p sim-rt -q
 
+echo "==> cargo test --release (sensing crates under release codegen)"
+# The jitter kernel must equal libm's Box-Muller bit for bit under the
+# optimized codegen perfbench ships, not only in debug builds.
+cargo test --release --offline -p zynq-soc -p fpga-fabric -p hwmon-sim -q
+
 echo "==> cargo doc (sim-obs)"
 cargo doc --offline --no-deps -p sim-obs
 

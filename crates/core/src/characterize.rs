@@ -11,6 +11,7 @@
 //! the current channel's relative variation is ~261x the RO's.
 
 use sim_rt::json;
+use sim_rt::lockorder::TrackedMutex;
 use sim_rt::pool::Pool;
 use sim_rt::ser::Value;
 use sim_store::{Checkpoint, Digest, Store};
@@ -387,7 +388,7 @@ pub fn run_parallel_checkpointed(
             let captured = CapturedLevel {
                 level,
                 channels: hwmon_summaries(&sampler, config, cursor)?,
-                rail_volts: baseline_rail_volts(&platform, config, cursor),
+                rail_volts: baseline_rail_volts(&platform, config, cursor)?,
             };
             let row = baseline_row(&platform, &captured)?;
             if let Some(ckpt) = ckpt {
@@ -409,17 +410,24 @@ struct CapturedLevel {
     rail_volts: Vec<f64>,
 }
 
+/// Instant ranges a level's rail-voltage pass splits into. The pass is
+/// the largest job of a [`sweep_step`], and every voltage is a pure
+/// function of its instant, so the ranges fill one buffer bit-identically
+/// while the pool balances them against the indivisible jobs.
+const RAIL_SPLITS: usize = 4;
+
 /// A finished job of one [`sweep_step`].
 enum StepPart {
     Row(LevelRow),
     Hwmon([Summary; 3]),
-    RailVolts(Vec<f64>),
+    RailVolts,
 }
 
-/// One stage of the sweep pipeline, as up to three jobs on `pool`: the
+/// One stage of the sweep pipeline, as jobs on `pool`: the
 /// fabric-baseline draws that finish `done`'s row, and the hwmon capture
-/// and rail-voltage pass of the level `next` names (active now, measured
-/// from its cursor). The jobs share no noise stream.
+/// and rail-voltage pass (in [`RAIL_SPLITS`] instant ranges) of the level
+/// `next` names (active now, measured from its cursor). The jobs share no
+/// noise stream.
 fn sweep_step(
     platform: &Platform,
     sampler: &CurrentSampler<'_>,
@@ -429,7 +437,18 @@ fn sweep_step(
     pool: &Pool,
 ) -> Result<(Option<LevelRow>, Option<CapturedLevel>)> {
     type Job<'a> = Box<dyn Fn() -> Result<StepPart> + Sync + 'a>;
-    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(3);
+    let period = SimTime::from_secs_f64(1.0 / config.sample_rate_hz);
+    let baseline_len = match next {
+        Some(_) if platform.has_fabric_baseline() => config.samples_per_level,
+        _ => 0,
+    };
+    let mut rail_volts = vec![0.0; baseline_len];
+    let range_len = rail_volts.len().div_ceil(RAIL_SPLITS).max(1);
+    let ranges: Vec<TrackedMutex<&mut [f64]>> = rail_volts
+        .chunks_mut(range_len)
+        .map(|range| TrackedMutex::new("characterize.rail_range", range))
+        .collect();
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(2 + ranges.len());
     if let Some(done) = &done {
         jobs.push(Box::new(move || {
             baseline_row(platform, done).map(StepPart::Row)
@@ -439,20 +458,30 @@ fn sweep_step(
         jobs.push(Box::new(move || {
             hwmon_summaries(sampler, config, cursor).map(StepPart::Hwmon)
         }));
-        jobs.push(Box::new(move || {
-            Ok(StepPart::RailVolts(baseline_rail_volts(
-                platform, config, cursor,
-            )))
-        }));
+        for (j, range) in ranges.iter().enumerate() {
+            jobs.push(Box::new(move || {
+                let from = cursor
+                    .checked_step(period, (j * range_len) as u64)
+                    .ok_or_else(|| {
+                        AttackError::InvalidParameter(
+                            "rail-voltage window overflows the u64 nanosecond clock".into(),
+                        )
+                    })?;
+                platform.fpga_rail_volts_into(from, period, &mut range.lock())?;
+                Ok(StepPart::RailVolts)
+            }));
+        }
     }
-    let (mut row, mut channels, mut rail_volts) = (None, None, Vec::new());
+    let (mut row, mut channels) = (None, None);
     for part in pool.par_map(&jobs, |_, job| job()) {
         match part? {
             StepPart::Row(r) => row = Some(r),
             StepPart::Hwmon(h) => channels = Some(h),
-            StepPart::RailVolts(v) => rail_volts = v,
+            StepPart::RailVolts => {}
         }
     }
+    drop(jobs);
+    drop(ranges);
     let captured = next
         .zip(channels)
         .map(|((level, _), channels)| CapturedLevel {
@@ -488,9 +517,9 @@ fn baseline_rail_volts(
     platform: &Platform,
     config: &CharacterizeConfig,
     cursor: SimTime,
-) -> Vec<f64> {
+) -> Result<Vec<f64>> {
     if !platform.has_fabric_baseline() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let period = SimTime::from_secs_f64(1.0 / config.sample_rate_hz);
     platform.fpga_rail_volts(cursor, period, config.samples_per_level)

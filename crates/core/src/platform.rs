@@ -59,6 +59,29 @@ impl SocModel {
         self.operating_point(t, domain).1
     }
 
+    /// Rail voltages at `start + k * period` into `out[k]`, under one
+    /// read-lock hold; each element is bit-identical to
+    /// [`rail_voltage`](Self::rail_voltage) at its instant. The caller
+    /// has checked that the last instant fits the clock.
+    fn rail_volts_into(
+        &self,
+        start: SimTime,
+        period: SimTime,
+        domain: PowerDomain,
+        out: &mut [f64],
+    ) {
+        // Every PowerDomain key is inserted at construction. sim-lint: allow(panic-path)
+        let pdn = &self.pdn[&domain];
+        let loads = self.loads();
+        let mut t = start;
+        for (k, volts) in out.iter_mut().enumerate() {
+            if k > 0 {
+                t += period;
+            }
+            *volts = rail_point(&loads, pdn, t, domain).1;
+        }
+    }
+
     /// Batched [`operating_point`](Self::operating_point) for a
     /// conversion's averaging steps: one read-lock hold and one PDN
     /// lookup serve the whole window, and each element is bit-identical
@@ -454,15 +477,41 @@ impl Platform {
     /// voltage [`sample_ro`](Self::sample_ro) and
     /// [`sample_tdc`](Self::sample_tdc) would see at those instants under
     /// the loads active now — from one batched operating-point pass.
-    pub fn fpga_rail_volts(&self, start: SimTime, period: SimTime, n: usize) -> Vec<f64> {
-        let times: Vec<SimTime> = (0..n as u64)
-            .map(|k| start + SimTime::from_nanos(period.as_nanos() * k))
-            .collect();
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttackError::InvalidParameter`] if the last instant
+    /// overflows the u64 nanosecond clock.
+    pub fn fpga_rail_volts(&self, start: SimTime, period: SimTime, n: usize) -> Result<Vec<f64>> {
+        let mut volts = vec![0.0; n];
+        self.fpga_rail_volts_into(start, period, &mut volts)?;
+        Ok(volts)
+    }
+
+    /// [`fpga_rail_volts`](Self::fpga_rail_volts) filling `out` in place:
+    /// `out[k]` is the rail voltage at `start + k * period`. Each element
+    /// is a pure function of its instant, so a window split into instant
+    /// ranges fills bit-identically to one pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttackError::InvalidParameter`] if the last instant
+    /// overflows the u64 nanosecond clock; `out` is then untouched.
+    pub fn fpga_rail_volts_into(
+        &self,
+        start: SimTime,
+        period: SimTime,
+        out: &mut [f64],
+    ) -> Result<()> {
+        let last = out.len().saturating_sub(1) as u64;
+        if start.checked_step(period, last).is_none() {
+            return Err(AttackError::InvalidParameter(
+                "rail-voltage window overflows the u64 nanosecond clock".into(),
+            ));
+        }
         self.soc
-            .operating_points(&times, PowerDomain::FpgaLogic)
-            .into_iter()
-            .map(|(_, volts)| volts)
-            .collect()
+            .rail_volts_into(start, period, PowerDomain::FpgaLogic, out);
+        Ok(())
     }
 
     /// RO bank mean counts at the given rail voltages, in order, under one
@@ -479,10 +528,7 @@ impl Platform {
             .as_ref()
             .ok_or(AttackError::NotDeployed("ring-oscillator bank"))?
             .lock();
-        Ok(rail_volts
-            .iter()
-            .map(|&v| bank.sample_mean_count(v))
-            .collect())
+        Ok(bank.sample_mean_counts(rail_volts))
     }
 
     /// TDC thermometer codes at the given rail voltages, in order, under
@@ -498,7 +544,7 @@ impl Platform {
             .as_ref()
             .ok_or(AttackError::NotDeployed("tdc sensor"))?
             .lock();
-        Ok(rail_volts.iter().map(|&v| sensor.sample(v)).collect())
+        Ok(sensor.sample_at(rail_volts))
     }
 
     /// Whether an RO bank or a TDC is deployed.
@@ -634,6 +680,60 @@ mod tests {
     }
 
     #[test]
+    fn rail_volts_reject_a_window_past_the_clock() {
+        let p = Platform::zcu102(10);
+        let start = SimTime::from_nanos(u64::MAX - 10);
+        // The last instant is 3 * 5 ns past the start: overflow.
+        assert!(matches!(
+            p.fpga_rail_volts(start, SimTime::from_nanos(5), 4),
+            Err(AttackError::InvalidParameter(_))
+        ));
+        // The product alone overflows too.
+        assert!(matches!(
+            p.fpga_rail_volts(SimTime::ZERO, SimTime::from_nanos(u64::MAX / 2), 4),
+            Err(AttackError::InvalidParameter(_))
+        ));
+        // Right up to the clock's end is fine, and so is an empty window.
+        assert_eq!(
+            p.fpga_rail_volts(start, SimTime::from_nanos(5), 3)
+                .unwrap()
+                .len(),
+            3
+        );
+        assert!(p
+            .fpga_rail_volts(start, SimTime::from_nanos(5), 0)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn split_rail_volts_match_one_pass() {
+        let mut p = Platform::zcu102(12);
+        p.deploy_virus(VirusConfig::default())
+            .unwrap()
+            .activate_groups(70)
+            .unwrap();
+        let (start, period) = (SimTime::from_ms(40), SimTime::from_us(700));
+        let whole = p.fpga_rail_volts(start, period, 301).unwrap();
+        let mut split = vec![0.0; 301];
+        for (j, chunk) in split.chunks_mut(77).enumerate() {
+            let from = start.checked_step(period, 77 * j as u64).unwrap();
+            p.fpga_rail_volts_into(from, period, chunk).unwrap();
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&split), bits(&whole));
+        let single: Vec<f64> = (0..301)
+            .map(|k| {
+                p.ground_truth_volts(
+                    PowerDomain::FpgaLogic,
+                    start.checked_step(period, k).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(bits(&whole), bits(&single));
+    }
+
+    #[test]
     fn batched_baselines_match_single_samples_bit_for_bit() {
         let twin = || {
             let mut p = Platform::zcu102(8);
@@ -645,7 +745,7 @@ mod tests {
         };
         let (batched, single) = (twin(), twin());
         let (start, period) = (SimTime::from_ms(40), SimTime::from_us(1_000));
-        let volts = batched.fpga_rail_volts(start, period, 500);
+        let volts = batched.fpga_rail_volts(start, period, 500).unwrap();
         let ro = batched.sample_ro_at(&volts).unwrap();
         let tdc = batched.sample_tdc_at(&volts).unwrap();
         let instants = (0..500u64).map(|k| start + SimTime::from_nanos(period.as_nanos() * k));

@@ -43,11 +43,48 @@ impl<'a> CurrentSampler<'a> {
         self.privilege
     }
 
-    fn count_read(channel: Channel) {
+    fn count_reads(channel: Channel, n: u64) {
         match channel {
-            Channel::Current => obs::counter!("sampler.reads.current").inc(),
-            Channel::Voltage => obs::counter!("sampler.reads.voltage").inc(),
-            Channel::Power => obs::counter!("sampler.reads.power").inc(),
+            Channel::Current => obs::counter!("sampler.reads.current").add(n),
+            Channel::Voltage => obs::counter!("sampler.reads.voltage").add(n),
+            Channel::Power => obs::counter!("sampler.reads.power").add(n),
+        }
+    }
+
+    /// Reads `channels` of `domain` at `count` instants from `start` as
+    /// one hwmon run read, appending each channel's samples to the
+    /// matching `series`. Counts reads as the per-instant loop would: all
+    /// of them on success, and the one failing read on error (a refused
+    /// run fails on its first read).
+    fn read_run<const N: usize>(
+        &self,
+        domain: PowerDomain,
+        channels: [Channel; N],
+        start: SimTime,
+        period: SimTime,
+        count: usize,
+        series: &mut [Vec<f64>; N],
+    ) -> Result<()> {
+        let handles = channels.map(|c| self.platform.sensor_handle(domain, c.hwmon_attribute()));
+        let fs = self.platform.hwmon();
+        let run = fs.read_run(&handles, start, period, count, self.privilege, |slot, v| {
+            // Run reads hand out slots below `handles.len() == N`. sim-lint: allow(panic-path)
+            series[slot].push(v as f64)
+        });
+        match run {
+            Ok(()) => {
+                for channel in channels {
+                    Self::count_reads(channel, count as u64);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                if let Some(&first) = channels.first() {
+                    Self::count_reads(first, 1);
+                }
+                obs::counter!("sampler.read_errors").inc();
+                Err(e.into())
+            }
         }
     }
 
@@ -72,10 +109,8 @@ impl<'a> CurrentSampler<'a> {
             ));
         }
         let period = SimTime::from_secs_f64(period_s);
-        period
-            .as_nanos()
-            .checked_mul(count as u64 - 1)
-            .and_then(|span| start.as_nanos().checked_add(span))
+        start
+            .checked_step(period, count as u64 - 1)
             .ok_or_else(|| {
                 AttackError::InvalidParameter(
                     "capture window overflows the u64 nanosecond clock".into(),
@@ -96,7 +131,7 @@ impl<'a> CurrentSampler<'a> {
     /// Returns [`AttackError::Hwmon`] on sysfs failures (notably
     /// `PermissionDenied` under the mitigation).
     pub fn read_once(&self, domain: PowerDomain, channel: Channel, t: SimTime) -> Result<f64> {
-        Self::count_read(channel);
+        Self::count_reads(channel, 1);
         let handle = self
             .platform
             .sensor_handle(domain, channel.hwmon_attribute());
@@ -131,22 +166,9 @@ impl<'a> CurrentSampler<'a> {
     ) -> Result<Trace> {
         let period = Self::capture_period(rate_hz, start, count)?;
         let started = obs::clock::monotonic_ns();
-        let handle = self
-            .platform
-            .sensor_handle(domain, channel.hwmon_attribute());
-        let fs = self.platform.hwmon();
-        let mut samples = Vec::with_capacity(count);
-        for k in 0..count {
-            let t = start + SimTime::from_nanos(period.as_nanos() * k as u64);
-            Self::count_read(channel);
-            match fs.read_value(handle, t, self.privilege) {
-                Ok(v) => samples.push(v as f64),
-                Err(e) => {
-                    obs::counter!("sampler.read_errors").inc();
-                    return Err(e.into());
-                }
-            }
-        }
+        let mut series = [Vec::with_capacity(count)];
+        self.read_run(domain, [channel], start, period, count, &mut series)?;
+        let [samples] = series;
         obs::histogram!("sampler.capture.ns")
             .observe(obs::clock::monotonic_ns().saturating_sub(started));
         obs::debug!(
@@ -189,28 +211,12 @@ impl<'a> CurrentSampler<'a> {
     ) -> Result<[Trace; 3]> {
         let period = Self::capture_period(rate_hz, start, count)?;
         let started = obs::clock::monotonic_ns();
-        let handles =
-            Channel::ALL.map(|c| self.platform.sensor_handle(domain, c.hwmon_attribute()));
-        let fs = self.platform.hwmon();
         let mut samples = [
             Vec::with_capacity(count),
             Vec::with_capacity(count),
             Vec::with_capacity(count),
         ];
-        for k in 0..count {
-            let t = start + SimTime::from_nanos(period.as_nanos() * k as u64);
-            let chans = Channel::ALL.iter().zip(&handles).zip(&mut samples);
-            for ((&channel, &handle), series) in chans {
-                Self::count_read(channel);
-                match fs.read_value(handle, t, self.privilege) {
-                    Ok(v) => series.push(v as f64),
-                    Err(e) => {
-                        obs::counter!("sampler.read_errors").inc();
-                        return Err(e.into());
-                    }
-                }
-            }
-        }
+        self.read_run(domain, Channel::ALL, start, period, count, &mut samples)?;
         obs::histogram!("sampler.capture.ns")
             .observe(obs::clock::monotonic_ns().saturating_sub(started));
         obs::debug!(

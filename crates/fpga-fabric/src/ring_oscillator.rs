@@ -147,13 +147,18 @@ impl RoBank {
         1.0 + self.config.voltage_sensitivity * dv_rel
     }
 
-    /// One counter readout of RO `i` over a sampling window: its nominal
-    /// frequency scaled by `freq_scale`, plus one jitter draw.
-    fn count(&mut self, i: usize, freq_scale: f64) -> u32 {
+    /// One counter readout per base count (an RO's nominal frequency
+    /// times its window, scaled by the rail), each with its jitter draw.
+    fn readouts(&mut self, bases: &[f64], out: &mut [u32]) {
+        let max = f64::from(u32::MAX);
+        self.noise
+            .round_jittered(bases, self.config.jitter_counts, 0.0, max, out);
+    }
+
+    /// The jitter-free count of RO `i` at relative frequency `freq_scale`.
+    fn base_count(&self, i: usize, freq_scale: f64) -> f64 {
         let window_s = self.config.sample_window.as_secs_f64();
-        let counts = self.ro_freq_mhz[i] * 1e6 * freq_scale * window_s
-            + self.noise.sample(0.0, self.config.jitter_counts);
-        counts.round().max(0.0) as u32
+        self.ro_freq_mhz[i] * 1e6 * freq_scale * window_s
     }
 
     /// Samples every counter over one window at rail voltage `rail_v`,
@@ -161,22 +166,50 @@ impl RoBank {
     pub fn sample_counts(&mut self, rail_v: f64) -> Vec<u32> {
         self.samples_taken += 1;
         let freq_scale = self.freq_scale(rail_v);
-        (0..self.ro_freq_mhz.len())
-            .map(|i| self.count(i, freq_scale))
-            .collect()
+        let bases: Vec<f64> = (0..self.ro_freq_mhz.len())
+            .map(|i| self.base_count(i, freq_scale))
+            .collect();
+        let mut counts = vec![0; bases.len()];
+        self.readouts(&bases, &mut counts);
+        counts
     }
 
     /// Mean counter value across the bank for one sampling window — the
-    /// mean of [`RoBank::sample_counts`], summed in RO order without
-    /// materializing the counts (integer sums are exact in `f64`).
+    /// mean of [`RoBank::sample_counts`]; see
+    /// [`sample_mean_counts`](Self::sample_mean_counts).
     pub fn sample_mean_count(&mut self, rail_v: f64) -> f64 {
-        self.samples_taken += 1;
-        let freq_scale = self.freq_scale(rail_v);
-        let mut sum = 0.0;
-        for i in 0..self.ro_freq_mhz.len() {
-            sum += f64::from(self.count(i, freq_scale));
+        self.sample_mean_counts(&[rail_v])[0]
+    }
+
+    /// One [`sample_mean_count`](Self::sample_mean_count) per rail
+    /// voltage, in order, bit-identical to calling it in a loop. Windows
+    /// go through the jitter kernel in bounded batches, and each mean sums
+    /// its counts in RO order (integer sums are exact in `f64`).
+    pub fn sample_mean_counts(&mut self, rail_volts: &[f64]) -> Vec<f64> {
+        /// Readouts per kernel call.
+        const BATCH: usize = 1024;
+        let n = self.ro_freq_mhz.len();
+        let windows = (BATCH / n).max(1);
+        let batch = windows.min(rail_volts.len()) * n;
+        let mut bases = Vec::with_capacity(batch);
+        let mut counts = vec![0; batch];
+        let mut means = Vec::with_capacity(rail_volts.len());
+        for chunk in rail_volts.chunks(windows) {
+            bases.clear();
+            for &v in chunk {
+                let freq_scale = self.freq_scale(v);
+                bases.extend((0..n).map(|i| self.base_count(i, freq_scale)));
+            }
+            let counts = &mut counts[..bases.len()];
+            self.readouts(&bases, counts);
+            means.extend(
+                counts
+                    .chunks_exact(n)
+                    .map(|window| window.iter().fold(0.0, |sum, &c| sum + f64::from(c)) / n as f64),
+            );
         }
-        sum / self.ro_freq_mhz.len() as f64
+        self.samples_taken += rail_volts.len() as u64;
+        means
     }
 
     /// Samples the bank with *local* IR-drop hotspots in addition to the
@@ -190,7 +223,7 @@ impl RoBank {
     pub fn sample_counts_spatial(&mut self, rail_v: f64, hotspots: &[(Region, f64)]) -> Vec<u32> {
         const D0: f64 = 0.1;
         self.samples_taken += 1;
-        (0..self.ro_freq_mhz.len())
+        let bases: Vec<f64> = (0..self.ro_freq_mhz.len())
             .map(|i| {
                 let local_droop: f64 = hotspots
                     .iter()
@@ -199,10 +232,12 @@ impl RoBank {
                         droop_v * D0 / (d + D0)
                     })
                     .sum();
-                let freq_scale = self.freq_scale(rail_v - local_droop);
-                self.count(i, freq_scale)
+                self.base_count(i, self.freq_scale(rail_v - local_droop))
             })
-            .collect()
+            .collect();
+        let mut counts = vec![0; bases.len()];
+        self.readouts(&bases, &mut counts);
+        counts
     }
 
     /// Resource utilization of the deployed bank: each RO is `stages` LUTs
@@ -297,6 +332,45 @@ mod tests {
             assert_eq!(b.sample_mean_count(v).to_bits(), mean.to_bits());
         }
         assert_eq!(a.samples_taken(), b.samples_taken());
+    }
+
+    #[test]
+    fn every_sampling_method_matches_the_scalar_counter_expression() {
+        // The per-RO readout the bank drew one normal at a time before
+        // the batched kernel, replayed on a twin of the bank's stream.
+        let config = RoConfig::default();
+        let mut bank = RoBank::new(config, 77);
+        let mut noise = GaussianNoise::new(77 ^ 0x726F_6261);
+        let freqs: Vec<f64> = (0..config.count)
+            .map(|_| config.nominal_freq_mhz * (1.0 + noise.sample(0.0, config.process_variation)))
+            .collect();
+        let window_s = config.sample_window.as_secs_f64();
+        let mut scalar = |v: f64, droop: &dyn Fn(usize) -> f64| -> Vec<u32> {
+            (0..config.count)
+                .map(|i| {
+                    let v = v - droop(i);
+                    let dv_rel = (v - config.nominal_volts) / config.nominal_volts;
+                    let scale = 1.0 + config.voltage_sensitivity * dv_rel;
+                    let counts =
+                        freqs[i] * 1e6 * scale * window_s + noise.sample(0.0, config.jitter_counts);
+                    counts.round().max(0.0) as u32
+                })
+                .collect()
+        };
+        let mean = |c: &[u32]| c.iter().fold(0.0, |s, &c| s + f64::from(c)) / c.len() as f64;
+        let volts: Vec<f64> = (0..301).map(|k| 0.84 + k as f64 * 7e-5).collect();
+        for (v, got) in volts.iter().zip(bank.sample_mean_counts(&volts)) {
+            assert_eq!(got.to_bits(), mean(&scalar(*v, &|_| 0.0)).to_bits());
+        }
+        assert_eq!(bank.sample_counts(0.851), scalar(0.851, &|_| 0.0));
+        let got = bank.sample_mean_count(0.8493);
+        assert_eq!(got.to_bits(), mean(&scalar(0.8493, &|_| 0.0)).to_bits());
+        let hotspot = bank.region(5);
+        let spatial = bank.sample_counts_spatial(0.85, &[(hotspot, 0.004)]);
+        let regions = bank.regions.clone();
+        let droop = |i: usize| 0.004 * 0.1 / (regions[i].distance_to(&hotspot) + 0.1);
+        assert_eq!(spatial, scalar(0.85, &droop));
+        assert_eq!(bank.samples_taken(), 304);
     }
 
     #[test]

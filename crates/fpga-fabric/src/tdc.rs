@@ -20,6 +20,9 @@ use zynq_soc::{GaussianNoise, SimTime};
 
 use crate::resources::{Bitstream, Utilization};
 
+/// Codes per jitter-kernel call.
+const BATCH: usize = 1024;
+
 /// Configuration of a [`TdcSensor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TdcConfig {
@@ -107,18 +110,41 @@ impl TdcSensor {
     /// taps the edge traverses within the race window (clipped to the
     /// physical line length).
     pub fn sample(&mut self, rail_v: f64) -> u32 {
-        self.samples_taken += 1;
-        let dv_rel = (rail_v - self.config.nominal_volts) / self.config.nominal_volts;
-        // Lower voltage -> longer per-tap delay -> fewer taps traversed.
-        let delay_ps = self.config.tap_delay_ps * (1.0 - self.config.voltage_sensitivity * dv_rel);
+        self.sample_at(&[rail_v])[0]
+    }
+
+    /// One [`sample`](Self::sample) per rail voltage, in order,
+    /// bit-identical to calling it in a loop: the jitter draws go through
+    /// the batched kernel in bounded chunks.
+    pub fn sample_at(&mut self, rail_volts: &[f64]) -> Vec<u32> {
         let window_ps = self.config.clock.as_nanos() as f64 * 1_000.0;
-        let taps = window_ps / delay_ps + self.noise.sample(0.0, self.config.jitter_taps);
-        taps.round().clamp(0.0, self.config.taps as f64) as u32
+        let (sigma, taps) = (self.config.jitter_taps, f64::from(self.config.taps));
+        let mut bases = Vec::with_capacity(BATCH.min(rail_volts.len()));
+        let mut codes = vec![0; rail_volts.len()];
+        for (volts, out) in rail_volts.chunks(BATCH).zip(codes.chunks_mut(BATCH)) {
+            bases.clear();
+            bases.extend(volts.iter().map(|&v| {
+                let dv_rel = (v - self.config.nominal_volts) / self.config.nominal_volts;
+                // Lower voltage -> longer per-tap delay -> fewer taps.
+                let delay_ps =
+                    self.config.tap_delay_ps * (1.0 - self.config.voltage_sensitivity * dv_rel);
+                window_ps / delay_ps
+            }));
+            self.noise.round_jittered(&bases, sigma, 0.0, taps, out);
+        }
+        self.samples_taken += rail_volts.len() as u64;
+        codes
     }
 
     /// Mean tap count over `n` consecutive samples at a fixed voltage.
     pub fn sample_mean(&mut self, rail_v: f64, n: usize) -> f64 {
-        (0..n).map(|_| self.sample(rail_v) as f64).sum::<f64>() / n.max(1) as f64
+        let volts = [rail_v; BATCH];
+        let sum = (0..n)
+            .step_by(BATCH)
+            .flat_map(|k| self.sample_at(&volts[..BATCH.min(n - k)]))
+            .map(|c| c as f64)
+            .sum::<f64>();
+        sum / n.max(1) as f64
     }
 
     /// Resource utilization: the carry chain plus capture flip-flops.
@@ -182,6 +208,32 @@ mod tests {
         assert!(delta < 3.0, "droop moved the code by {delta} taps");
         let rel = delta / idle;
         assert!(rel < 0.012, "relative TDC variation {rel}");
+    }
+
+    #[test]
+    fn batched_codes_match_the_scalar_jitter_expression() {
+        // The per-sample code the sensor drew before the batched kernel,
+        // replayed on a twin of its stream; voltages span both clips.
+        let config = TdcConfig::default();
+        let mut tdc = TdcSensor::new(config, 21);
+        let mut noise = GaussianNoise::new(21 ^ 0x7464_6373);
+        let mut scalar = |v: f64| {
+            let dv_rel = (v - config.nominal_volts) / config.nominal_volts;
+            let delay_ps = config.tap_delay_ps * (1.0 - config.voltage_sensitivity * dv_rel);
+            let window_ps = config.clock.as_nanos() as f64 * 1_000.0;
+            let taps = window_ps / delay_ps + noise.sample(0.0, config.jitter_taps);
+            taps.round().clamp(0.0, config.taps as f64) as u32
+        };
+        let volts: Vec<f64> = (0..2_501).map(|k| 0.3 + k as f64 * 6e-4).collect();
+        let batched = tdc.sample_at(&volts);
+        let want: Vec<u32> = volts.iter().map(|&v| scalar(v)).collect();
+        assert_eq!(batched, want);
+        assert!(batched.contains(&config.taps));
+        assert_eq!(tdc.sample(0.85), scalar(0.85));
+        let mean = tdc.sample_mean(0.849, 1_501);
+        let want = (0..1_501).map(|_| scalar(0.849) as f64).sum::<f64>() / 1_501.0;
+        assert_eq!(mean.to_bits(), want.to_bits());
+        assert_eq!(tdc.samples_taken(), 2_501 + 1 + 1_501);
     }
 
     #[test]

@@ -182,18 +182,12 @@ impl HwmonDevice {
             .set_config(Config::for_update_interval_ms(ms));
     }
 
-    /// Ensures the latched readouts reflect the conversion whose window
-    /// ends at the last update boundary before `now`, and returns them.
-    ///
-    /// The value-hold path (a read inside the window of the latest
-    /// conversion) is a single short clock-lock hold: boundary arithmetic
-    /// on the precomputed interval, one comparison, and a copy of the
-    /// latched integers — the sensor mutex is never taken. Only a read
-    /// that crosses into a new window pays for a conversion.
-    fn refresh(&self, now: SimTime) -> Readouts {
-        let mut state = self.state.lock();
-        let interval = state.interval_ns;
-        let boundary = match &self.defense {
+    /// The update boundary whose conversion a read at `now` sees: the
+    /// last multiple of `interval` at or before `now`, or with a defense
+    /// installed, its jittered counterpart. Per-read and run reads share
+    /// this one function, so both convert at the same instants.
+    fn boundary(&self, interval: u64, now: SimTime) -> SimTime {
+        match &self.defense {
             None => SimTime::from_nanos(now.as_nanos() / interval * interval),
             Some(d) => {
                 // Jittered update clock: the boundary of window `w` moves
@@ -216,15 +210,13 @@ impl HwmonDevice {
                     SimTime::from_nanos(shifted(w - 1))
                 }
             }
-        };
-        if state.last_boundary == Some(boundary) {
-            // The driver's cached-register path: the read waits on no new
-            // conversion and returns the held value.
-            obs::counter!("hwmon.reads.held").inc();
-            obs::counter!("sampler.reads.held_fastpath").inc();
-            return state.latched;
         }
-        obs::counter!("hwmon.reads.fresh").inc();
+    }
+
+    /// Runs the conversion whose window ends at `boundary` and latches its
+    /// readouts into `state`. The caller holds the clock lock, so the lock
+    /// order stays `hwmon.clock` -> `hwmon.sensor`.
+    fn convert(&self, state: &mut ClockState, boundary: SimTime) {
         let mut sensor = self.sensor.lock();
         let n = sensor.config().avg.samples() as u64;
         let cycle = SimTime::from_us(sensor.config().cycle_micros());
@@ -235,7 +227,7 @@ impl HwmonDevice {
             .collect();
         let mut points = self.rail.operating_points(&times);
         if let Some(d) = &self.defense {
-            let window = boundary.as_nanos() / interval;
+            let window = boundary.as_nanos() / state.interval_ns;
             d.perturb_steps(&self.name, window, &mut points);
             sensor.convert(points);
             state.latched = d.transform(&self.name, window, sensor.readouts());
@@ -244,7 +236,66 @@ impl HwmonDevice {
             state.latched = sensor.readouts();
         }
         state.last_boundary = Some(boundary);
+    }
+
+    /// Ensures the latched readouts reflect the conversion whose window
+    /// ends at the last update boundary before `now`, and returns them.
+    ///
+    /// The value-hold path (a read inside the window of the latest
+    /// conversion) is a single short clock-lock hold: boundary arithmetic
+    /// on the precomputed interval, one comparison, and a copy of the
+    /// latched integers — the sensor mutex is never taken. Only a read
+    /// that crosses into a new window pays for a conversion.
+    fn refresh(&self, now: SimTime) -> Readouts {
+        let mut state = self.state.lock();
+        let boundary = self.boundary(state.interval_ns, now);
+        if state.last_boundary == Some(boundary) {
+            // The driver's cached-register path: the read waits on no new
+            // conversion and returns the held value.
+            obs::counter!("hwmon.reads.held").inc();
+            obs::counter!("sampler.reads.held_fastpath").inc();
+            return state.latched;
+        }
+        obs::counter!("hwmon.reads.fresh").inc();
+        self.convert(&mut state, boundary);
         state.latched
+    }
+
+    /// The run form of `reads_per_instant` consecutive measurement reads
+    /// at each of `count` instants `start + k * period`: one clock-lock
+    /// hold for the whole window, a conversion exactly where
+    /// [`refresh`](Self::refresh) would convert (the first read of an
+    /// instant past a new boundary), and `visit` handed the latched
+    /// readouts of every instant. The held/fresh counters end at the
+    /// totals the per-read loop leaves. The caller has checked that the
+    /// window's last instant fits the clock.
+    pub(crate) fn read_run(
+        &self,
+        start: SimTime,
+        period: SimTime,
+        count: usize,
+        reads_per_instant: usize,
+        mut visit: impl FnMut(&Readouts),
+    ) {
+        let mut state = self.state.lock();
+        let interval = state.interval_ns;
+        let mut conversions = 0u64;
+        let mut now = start;
+        for k in 0..count {
+            if k > 0 {
+                now += period;
+            }
+            let boundary = self.boundary(interval, now);
+            if state.last_boundary != Some(boundary) {
+                self.convert(&mut state, boundary);
+                conversions += 1;
+            }
+            visit(&state.latched);
+        }
+        let held = (count * reads_per_instant) as u64 - conversions;
+        obs::counter!("hwmon.reads.fresh").add(conversions);
+        obs::counter!("hwmon.reads.held").add(held);
+        obs::counter!("sampler.reads.held_fastpath").add(held);
     }
 
     /// `curr1_input`: latched current in mA (driver rounds to mA — the

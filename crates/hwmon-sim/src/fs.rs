@@ -241,14 +241,14 @@ impl HwmonFs {
         Ok(SensorHandle::new(index, attr))
     }
 
-    /// The permission check and raw attribute fetch shared by the typed
-    /// and string read paths. Does not count or trace the read itself.
-    fn read_numeric(
+    /// The device a read through `handle` reaches, after the stale-index
+    /// and mitigation checks (a denial is counted and logged here).
+    fn open(
         &self,
         handle: SensorHandle,
         now: SimTime,
         privilege: Privilege,
-    ) -> Result<i64> {
+    ) -> Result<&HwmonDevice> {
         let dev = self
             .devices
             .get(handle.index)
@@ -267,6 +267,18 @@ impl HwmonFs {
             );
             return Err(HwmonError::PermissionDenied(handle.path()));
         }
+        Ok(dev)
+    }
+
+    /// The permission check and raw attribute fetch shared by the typed
+    /// and string read paths. Does not count or trace the read itself.
+    fn read_numeric(
+        &self,
+        handle: SensorHandle,
+        now: SimTime,
+        privilege: Privilege,
+    ) -> Result<i64> {
+        let dev = self.open(handle, now, privilege)?;
         match handle.attr {
             Attribute::Name => Err(HwmonError::NotNumeric(handle.path())),
             Attribute::Curr1Input => Ok(dev.curr1_input(now)),
@@ -302,6 +314,88 @@ impl HwmonFs {
             "attr" => handle.attr.file_name()
         );
         self.read_numeric(handle, now, privilege)
+    }
+
+    /// Reads the measurement files `handles` (all on one device) at each
+    /// of the `count` instants `start + k * period`, as the loop
+    /// `for k { for h in handles { read_value(h, t_k, privilege) } }`
+    /// would, and hands `sink(slot, value)` each value in that order.
+    ///
+    /// The run holds the device's clock lock once for the whole window:
+    /// it converts exactly where the per-read path would (the same
+    /// boundary function, defense jitter included) and serves every other
+    /// read from the latched readouts. Privilege is checked once; a
+    /// refused run fails on its first read, as the loop would.
+    /// `hwmon.fs.reads`, `hwmon.reads.{fresh,held}` and
+    /// `sampler.reads.held_fastpath` end at the loop's totals, and the
+    /// trace-level `"sysfs read"` event is one per run, carrying `count`.
+    ///
+    /// # Errors
+    ///
+    /// * [`HwmonError::InvalidInput`] (counting no read) when the
+    ///   window's last instant overflows the u64 nanosecond clock, or the
+    ///   handles span devices or name a non-measurement file.
+    /// * [`HwmonError::NoSuchFile`] for a stale device index and
+    ///   [`HwmonError::PermissionDenied`] under the mitigation, each after
+    ///   counting the one read that fails.
+    pub fn read_run(
+        &self,
+        handles: &[SensorHandle],
+        start: SimTime,
+        period: SimTime,
+        count: usize,
+        privilege: Privilege,
+        mut sink: impl FnMut(usize, i64),
+    ) -> Result<()> {
+        let Some(&first) = handles.first() else {
+            return Ok(());
+        };
+        if count == 0 {
+            return Ok(());
+        }
+        if start.checked_step(period, count as u64 - 1).is_none() {
+            return Err(HwmonError::InvalidInput(
+                "read run overflows the u64 nanosecond clock".into(),
+            ));
+        }
+        if handles
+            .iter()
+            .any(|h| h.index != first.index || !h.attr.is_measurement())
+        {
+            return Err(HwmonError::InvalidInput(
+                "a read run covers measurement files of one device".into(),
+            ));
+        }
+        let reads = count * handles.len();
+        obs::trace!(
+            "hwmon.fs",
+            sim = start.as_nanos(),
+            "sysfs read";
+            "hwmon" => first.index as u64,
+            "attr" => first.attr.file_name(),
+            "count" => reads as u64
+        );
+        let dev = match self.open(first, start, privilege) {
+            Ok(dev) => dev,
+            Err(e) => {
+                obs::counter!("hwmon.fs.reads").inc();
+                return Err(e);
+            }
+        };
+        obs::counter!("hwmon.fs.reads").add(reads as u64);
+        dev.read_run(start, period, count, handles.len(), |latched| {
+            for (slot, h) in handles.iter().enumerate() {
+                let value = match h.attr {
+                    Attribute::Curr1Input => latched.curr1_ma,
+                    Attribute::In0Input => latched.in0_mv,
+                    Attribute::In1Input => latched.in1_mv,
+                    // Checked above: only measurement files get here.
+                    _ => latched.power1_uw,
+                };
+                sink(slot, value);
+            }
+        });
+        Ok(())
     }
 
     /// Resolves `path` and reads it as a number: `read_raw` is

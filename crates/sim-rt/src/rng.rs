@@ -171,6 +171,9 @@ impl SimRng {
 }
 
 impl Rng for SimRng {
+    // Inlined across crates: the jitter kernel draws two of these per
+    // Box-Muller pair, and a call per draw costs more than the draw.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])

@@ -41,6 +41,7 @@ const PINNED_METRICS: &[&str] = &[
     "lockorder.acquisitions",
     "lockorder.cycles_detected",
     "lockorder.edges_tracked",
+    "noise.jitter.exact_fallbacks",
     "pool.profile.enabled",
     "pool.profile.run_ns",
     "pool.profile.samples",

@@ -49,22 +49,33 @@ impl Summary {
         for &x in samples {
             acc.push(x);
         }
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not contain NaN"));
-        let median = if sorted.len() % 2 == 1 {
-            sorted[sorted.len() / 2]
-        } else {
-            let hi = sorted.len() / 2;
-            (sorted[hi - 1] + sorted[hi]) / 2.0
-        };
+        // What a stable sort by `partial_cmp` would put at the ends: the
+        // first minimum in input order and the last maximum (only ±0.0
+        // compare equal with different bits). Like that sort, any NaN
+        // panics once there is something to compare it with.
+        let (mut min, mut max) = (samples[0], samples[0]);
+        let mut nan = false;
+        for &x in &samples[1..] {
+            nan |= x.is_nan();
+            if x < min {
+                min = x;
+            }
+            if x >= max {
+                max = x;
+            }
+        }
+        assert!(
+            !(nan || samples.len() > 1 && samples[0].is_nan()),
+            "samples must not contain NaN"
+        );
         Ok(Summary {
             count: acc.count(),
             mean: acc.mean(),
             variance: acc.variance(),
             std_dev: acc.variance().sqrt(),
-            min: sorted[0],
-            max: *sorted.last().expect("non-empty"),
-            median,
+            min,
+            max,
+            median: median(samples),
         })
     }
 
@@ -98,6 +109,43 @@ impl Summary {
             return Err(StatsError::ZeroVariance);
         }
         Ok(self.range() / self.mean.abs())
+    }
+}
+
+/// The median of NaN-free `samples`, bit-identical to reading it off a
+/// stable sort by `partial_cmp`: the middle order statistics come from
+/// selection, which agrees with the sort on every value except ±0.0 (equal
+/// under `partial_cmp`, so the sort's input-order tie-break picks the
+/// sign). A selected zero falls back to the stable sort.
+fn median(samples: &[f64]) -> f64 {
+    let n = samples.len();
+    let hi = n / 2;
+    let mut scratch = samples.to_vec();
+    let (left, &mut mid, _) = scratch.select_nth_unstable_by(hi, f64::total_cmp);
+    let below = if n.is_multiple_of(2) {
+        left.iter().copied().max_by(f64::total_cmp)
+    } else {
+        None
+    };
+    if mid == 0.0 || below == Some(0.0) {
+        scratch.copy_from_slice(samples);
+        scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        return middle(&scratch);
+    }
+    match below {
+        Some(lo) => (lo + mid) / 2.0,
+        None => mid,
+    }
+}
+
+/// The median of sorted, non-empty `sorted` (the mean of the two central
+/// order statistics for even counts).
+fn middle(sorted: &[f64]) -> f64 {
+    let hi = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[hi]
+    } else {
+        (sorted[hi - 1] + sorted[hi]) / 2.0
     }
 }
 
@@ -245,6 +293,74 @@ pub fn quantile(samples: &[f64], q: f64) -> Result<f64> {
 mod tests {
     use super::*;
 
+    /// The full-sort implementation `from_samples` replaced: the oracle
+    /// its min, max and median must match bit for bit.
+    fn sorted_summary(samples: &[f64]) -> Summary {
+        let mut acc = OnlineStats::new();
+        for &x in samples {
+            acc.push(x);
+        }
+        let mut sorted: Vec<f64> = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not contain NaN"));
+        Summary {
+            count: acc.count(),
+            mean: acc.mean(),
+            variance: acc.variance(),
+            std_dev: acc.variance().sqrt(),
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+            median: middle(&sorted),
+        }
+    }
+
+    fn bits(s: &Summary) -> [u64; 7] {
+        [
+            s.count as u64,
+            s.mean.to_bits(),
+            s.variance.to_bits(),
+            s.std_dev.to_bits(),
+            s.min.to_bits(),
+            s.max.to_bits(),
+            s.median.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn signed_zeros_follow_the_stable_sort() {
+        for xs in [
+            vec![0.0, -0.0],
+            vec![-0.0, 0.0],
+            vec![-0.0, 0.0, 0.0],
+            vec![0.0, -0.0, 1.0, -0.0],
+            vec![-1.0, 0.0, -0.0, 2.0],
+            vec![-0.0],
+        ] {
+            let want = sorted_summary(&xs);
+            assert_eq!(
+                bits(&Summary::from_samples(&xs).unwrap()),
+                bits(&want),
+                "{xs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_panics_like_the_sort_once_there_are_two_samples() {
+        for xs in [
+            vec![f64::NAN, 1.0],
+            vec![1.0, f64::NAN],
+            vec![3.0, f64::NAN, 1.0, 2.0],
+        ] {
+            let caught = std::panic::catch_unwind(|| Summary::from_samples(&xs));
+            let payload = caught.expect_err("NaN must panic");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "samples must not contain NaN", "{xs:?}");
+        }
+        // A lone NaN is never compared, so it passes through.
+        let lone = Summary::from_samples(&[f64::NAN]).unwrap();
+        assert!(lone.min.is_nan() && lone.max.is_nan() && lone.median.is_nan());
+    }
+
     #[test]
     fn summary_of_single_sample() {
         let s = Summary::from_samples(&[42.0]).unwrap();
@@ -353,6 +469,22 @@ mod tests {
             let ql = quantile(&xs, lo).unwrap();
             let qh = quantile(&xs, hi).unwrap();
             assert!(ql <= qh + 1e-12);
+        }
+
+        fn selection_matches_the_sorted_oracle(
+            picks in sim_rt::check::vec_of(0usize..7, 1..60),
+            scale in -3.0f64..3.0
+        ) {
+            // A small value set forces duplicates and mixed ±0.0.
+            let values = [-2.5, -0.0, 0.0, 1.0, scale, -scale, 7.25];
+            let xs: Vec<f64> = picks.iter().map(|&i| values[i]).collect();
+            let got = Summary::from_samples(&xs).unwrap();
+            assert_eq!(bits(&got), bits(&sorted_summary(&xs)), "{xs:?}");
+        }
+
+        fn selection_matches_on_wide_samples(xs in sim_rt::check::vec_of(-1e6f64..1e6, 1..400)) {
+            let got = Summary::from_samples(&xs).unwrap();
+            assert_eq!(bits(&got), bits(&sorted_summary(&xs)));
         }
 
         fn mean_bounded_by_min_max(xs in sim_rt::check::vec_of(-1e6f64..1e6, 1..100)) {

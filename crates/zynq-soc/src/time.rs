@@ -91,6 +91,17 @@ impl SimTime {
             None => None,
         }
     }
+
+    /// The instant `k` periods after this one, `self + period * k`, or
+    /// `None` when it overflows the u64 nanosecond clock: the grid of
+    /// every fixed-rate capture. Checking a grid's last instant checks
+    /// every instant before it.
+    pub const fn checked_step(self, period: SimTime, k: u64) -> Option<SimTime> {
+        match period.0.checked_mul(k) {
+            Some(span) => self.checked_add(SimTime(span)),
+            None => None,
+        }
+    }
 }
 
 impl Add for SimTime {
@@ -136,6 +147,25 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checked_step_walks_the_grid_and_catches_overflow() {
+        let start = SimTime::from_ms(5);
+        let period = SimTime::from_us(250);
+        assert_eq!(start.checked_step(period, 0), Some(start));
+        assert_eq!(start.checked_step(period, 4), Some(SimTime::from_ms(6)));
+        // The product overflows, and so does the sum alone.
+        assert_eq!(
+            start.checked_step(SimTime::from_nanos(u64::MAX / 2), 3),
+            None
+        );
+        let last = SimTime::from_nanos(u64::MAX - 1);
+        assert_eq!(
+            last.checked_step(SimTime::from_nanos(1), 1),
+            Some(SimTime::from_nanos(u64::MAX))
+        );
+        assert_eq!(last.checked_step(SimTime::from_nanos(1), 2), None);
+    }
 
     #[test]
     fn unit_conversions_round_trip() {
